@@ -7,10 +7,10 @@ sustained departures from the calibration distribution.  A companion
 overlay localizes the anomaly from encoder activations.
 """
 
-from .conformal import (CurvePoint, DetectionEvent, DetectorConfig,
-                        DetectorState, detect_episode, events_from_curve,
-                        log_mixture_martingale, log_mixture_martingale_batch,
-                        p_value, step)
+from .conformal import (CalibrationSet, CurvePoint, DetectionEvent,
+                        DetectorConfig, DetectorState, detect_episode,
+                        events_from_curve, log_mixture_martingale,
+                        log_mixture_martingale_batch, p_value, step)
 from .gridio import (EpisodeManifest, FormatError, as_grid, read_fgrid,
                      read_manifest, read_pgm, rgb_to_gray, write_fgrid,
                      write_manifest, write_pgm, write_ppm)
@@ -20,11 +20,11 @@ from .localization import ActivationStats, activation_stats, overlay, render
 from .opticflow import FlowParams, GradientField, gradients, lucas_kanade
 from .synthdata import (AnomalySpec, Episode, SceneConfig, gen_benchmark,
                         gen_id_episode, gen_ood_episode, gen_texture)
-from .trainer import (CalibrationSet, TrainConfig, build_calibration,
-                      elbo_loss, gradient_check, split_calibration, train)
+from .trainer import (TrainConfig, build_calibration, elbo_loss,
+                      gradient_check, split_calibration, train)
 from .vae import (EncodeOutput, LatentPosterior, NumericError,
                   VaeArchitecture, VaeWeights, decode, encode, init_weights,
                   kl_score, load_weights, preprocess, reparameterize,
-                  save_weights)
+                  save_weights, score_flow)
 
 __version__ = "0.1.0"

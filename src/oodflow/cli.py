@@ -165,8 +165,7 @@ def _cmd_localize(args) -> None:
                          f"(a decision needs the preceding frame)")
     flow = opticflow.lucas_kanade(frames[args.frame - 1], frames[args.frame],
                                   opticflow.FlowParams())
-    x = vae.preprocess(flow, weights.arch, weights.max_flow)
-    out = vae.encode(weights, x)
+    out, _ = vae.score_flow(weights, flow)
     frame = frames[args.frame]
     overlay_map = localization.overlay(out.last_conv_activations, stats,
                                        frame.shape)

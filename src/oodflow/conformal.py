@@ -25,9 +25,29 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import opticflow, vae
-from .trainer import CalibrationSet
 
 _GL_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+
+
+@dataclass(frozen=True)
+class CalibrationSet:
+    """Ascending nonconformity scores of held-out in-distribution samples."""
+
+    scores: np.ndarray
+
+    def __post_init__(self):
+        scores = np.asarray(self.scores, dtype=np.float64)
+        object.__setattr__(self, "scores", scores)
+        if scores.ndim != 1 or scores.size < 1:
+            raise ValueError("calibration set needs at least one score")
+        if not np.all(np.isfinite(scores)):
+            raise ValueError("calibration scores must be finite")
+        if np.any(np.diff(scores) < 0):
+            raise ValueError("calibration scores must be sorted ascending")
+
+    @property
+    def size(self) -> int:
+        return int(self.scores.size)
 
 
 @dataclass(frozen=True)
@@ -143,30 +163,45 @@ def log_mixture_martingale_batch(p: np.ndarray, nodes: int = 64) -> np.ndarray:
                               np.sum(np.log(p), axis=1), nodes)
 
 
+def _advance_run(run: tuple, log_m: float, frame: int, cfg: DetectorConfig,
+                 episode_id: str):
+    """The consecutive-exceedance rule for one frame's log M.
+
+    ``run`` is (length, start frame, peak log M) of the run above the
+    threshold.  Returns (new_run, event): a DetectionEvent exactly when the
+    length reaches cfg.consecutive, so at most once per sustained run.
+    """
+    length, start, peak = run
+    if log_m > cfg.log_threshold:
+        if length == 0:
+            start, peak = frame, log_m
+        else:
+            peak = max(peak, log_m)
+        length += 1
+    else:
+        length, start, peak = 0, None, float("-inf")
+    event = None
+    if length == cfg.consecutive:
+        event = DetectionEvent(episode_id=episode_id, onset_frame=start,
+                               peak_log_m=float(peak))
+    return (length, start, peak), event
+
+
 def step(state: DetectorState, alpha: float, cal: CalibrationSet,
          cfg: DetectorConfig, episode_id: str = ""):
     """Advance the detector by one frame's nonconformity score.
 
     Appends the new p-value (evicting beyond the window), recomputes the
     log-martingale over the current window, and updates the consecutive-
-    exceedance run.  Returns (new_state, event) where event is a
-    DetectionEvent exactly when the run length reaches cfg.consecutive
-    (at most once per sustained run).
+    exceedance run.  Returns (new_state, event); see :func:`_advance_run`.
     """
     p = p_value(cal, alpha)
     window = (state.p_window + (p,))[-cfg.window:]
     log_m = log_mixture_martingale(window, cfg.quadrature_nodes)
     frame = state.frame_index
-    if log_m > cfg.log_threshold:
-        exceed = state.exceed_count + 1
-        run_start = frame if exceed == 1 else state.run_start
-        run_peak = log_m if exceed == 1 else max(state.run_peak, log_m)
-    else:
-        exceed, run_start, run_peak = 0, None, float("-inf")
-    event = None
-    if exceed == cfg.consecutive:
-        event = DetectionEvent(episode_id=episode_id, onset_frame=run_start,
-                               peak_log_m=run_peak)
+    (exceed, run_start, run_peak), event = _advance_run(
+        (state.exceed_count, state.run_start, state.run_peak), log_m, frame,
+        cfg, episode_id)
     new_state = DetectorState(p_window=window, log_m=log_m, exceed_count=exceed,
                               frame_index=frame + 1, run_start=run_start,
                               run_peak=run_peak)
@@ -181,23 +216,11 @@ def events_from_curve(log_ms, cfg: DetectorConfig, episode_id: str = "",
     reuse one trace across thresholds.
     """
     events: list[DetectionEvent] = []
-    exceed = 0
-    run_start = 0
-    run_peak = float("-inf")
+    run = (0, None, float("-inf"))
     for offset, lm in enumerate(log_ms):
-        frame = start_frame + offset
-        if lm > cfg.log_threshold:
-            exceed += 1
-            if exceed == 1:
-                run_start, run_peak = frame, lm
-            else:
-                run_peak = max(run_peak, lm)
-            if exceed == cfg.consecutive:
-                events.append(DetectionEvent(episode_id=episode_id,
-                                             onset_frame=run_start,
-                                             peak_log_m=float(run_peak)))
-        else:
-            exceed = 0
+        run, event = _advance_run(run, lm, start_frame + offset, cfg, episode_id)
+        if event is not None:
+            events.append(event)
     return events
 
 
@@ -219,9 +242,7 @@ def detect_episode(frames, weights, cal: CalibrationSet, cfg: DetectorConfig,
     curve: list[CurvePoint] = []
     for t in range(1, len(frames)):
         flow = opticflow.lucas_kanade(frames[t - 1], frames[t], flow_params)
-        x = vae.preprocess(flow, weights.arch, weights.max_flow)
-        out = vae.encode(weights, x)
-        alpha = vae.kl_score(out.posterior)
+        _, alpha = vae.score_flow(weights, flow)
         frame_label = state.frame_index
         state, event = step(state, alpha, cal, cfg, episode_id)
         curve.append(CurvePoint(frame=frame_label, alpha=alpha,

@@ -11,14 +11,14 @@ from __future__ import annotations
 import json
 import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import conformal, gridio, localization, opticflow, vae
 from .gridio import EpisodeManifest
-from .trainer import CalibrationSet
+from .conformal import CalibrationSet
 
 
 @dataclass(frozen=True)
@@ -200,10 +200,7 @@ def grid_search(manifests, weights, cal: CalibrationSet, thresholds,
     best = None
     best_records = None
     for tau in thresholds:
-        tau_cfg = conformal.DetectorConfig(
-            window=cfg.window, log_threshold=tau, consecutive=cfg.consecutive,
-            quadrature_nodes=cfg.quadrature_nodes)
-        records = rescore_records(base_records, tau_cfg)
+        records = rescore_records(base_records, replace(cfg, log_threshold=tau))
         metrics = metrics_from_records(records)
         table.append((tau, metrics))
         key = (metrics.f1, -metrics.fpr, -tau)
@@ -247,9 +244,7 @@ def measure_latency(frames, weights, cal: CalibrationSet,
         t0 = time.perf_counter()
         flow = opticflow.lucas_kanade(a, b, flow_params)
         t1 = time.perf_counter()
-        x = vae.preprocess(flow, weights.arch, weights.max_flow)
-        out = vae.encode(weights, x)
-        alpha = vae.kl_score(out.posterior)
+        _, alpha = vae.score_flow(weights, flow)
         t2 = time.perf_counter()
         state, _ = conformal.step(state, alpha, cal, cfg)
         t3 = time.perf_counter()

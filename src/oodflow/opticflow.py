@@ -58,12 +58,16 @@ def _prepare_pair(frame_a, frame_b, params: FlowParams):
     return a, b
 
 
-def _central_diff(img: np.ndarray):
-    """Central differences with replicate padding at the borders."""
-    padded = np.pad(img, 1, mode="edge")
-    dx = (padded[1:-1, 2:] - padded[1:-1, :-2]) / 2.0
-    dy = (padded[2:, 1:-1] - padded[:-2, 1:-1]) / 2.0
-    return dx, dy
+def _derivatives(a: np.ndarray, b: np.ndarray):
+    """(ix, iy, it) in float64 for two prepared frames.
+
+    ix and iy are central differences (replicate padding at the borders) of
+    the frame average; it = b - a.
+    """
+    padded = np.pad(0.5 * (a + b), 1, mode="edge")
+    ix = (padded[1:-1, 2:] - padded[1:-1, :-2]) / 2.0
+    iy = (padded[2:, 1:-1] - padded[:-2, 1:-1]) / 2.0
+    return ix, iy, b - a
 
 
 def gradients(frame_a, frame_b, params: FlowParams = FlowParams()) -> GradientField:
@@ -74,10 +78,7 @@ def gradients(frame_a, frame_b, params: FlowParams = FlowParams()) -> GradientFi
     frame pair.  Units: intensity per pixel for ix/iy, intensity per frame
     for it.
     """
-    a, b = _prepare_pair(frame_a, frame_b, params)
-    avg = 0.5 * (a + b)
-    ix, iy = _central_diff(avg)
-    it = b - a
+    ix, iy, it = _derivatives(*_prepare_pair(frame_a, frame_b, params))
     return GradientField(
         ix=ix.astype(np.float32), iy=iy.astype(np.float32), it=it.astype(np.float32)
     )
@@ -98,9 +99,7 @@ def lucas_kanade(frame_a, frame_b, params: FlowParams = FlowParams()) -> np.ndar
     a, b = _prepare_pair(frame_a, frame_b, params)
     if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
         raise ValueError("frames contain non-finite values")
-    avg = 0.5 * (a + b)
-    ix, iy = _central_diff(avg)
-    it = b - a
+    ix, iy, it = _derivatives(a, b)
 
     size = 2 * params.window_radius + 1
     area = float(size * size)

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import nnops, vae
+from .conformal import CalibrationSet
 from .vae import (LatentPosterior, NumericError, VaeArchitecture, VaeWeights,
                   kl_score)
 
@@ -48,27 +49,6 @@ class EpochStats:
     mean_kl: float
 
 
-@dataclass(frozen=True)
-class CalibrationSet:
-    """Ascending nonconformity scores of held-out in-distribution samples."""
-
-    scores: np.ndarray
-
-    def __post_init__(self):
-        scores = np.asarray(self.scores, dtype=np.float64)
-        object.__setattr__(self, "scores", scores)
-        if scores.ndim != 1 or scores.size < 1:
-            raise ValueError("calibration set needs at least one score")
-        if not np.all(np.isfinite(scores)):
-            raise ValueError("calibration scores must be finite")
-        if np.any(np.diff(scores) < 0):
-            raise ValueError("calibration scores must be sorted ascending")
-
-    @property
-    def size(self) -> int:
-        return int(self.scores.size)
-
-
 def elbo_loss(recon, target, posterior: LatentPosterior,
               beta_kl: float = 1.0) -> tuple[float, float, float]:
     """Per-sample loss: (total, reconstruction term, KL term).
@@ -86,51 +66,28 @@ def elbo_loss(recon, target, posterior: LatentPosterior,
 
 
 # ---------------------------------------------------------------------------
-# Forward/backward through the fixed architecture (float64)
+# Loss and gradients through the shared network (float64)
 # ---------------------------------------------------------------------------
 
 def _forward(params: dict[str, np.ndarray], arch: VaeArchitecture,
              x: np.ndarray, noise: np.ndarray, beta_kl: float):
     """Full VAE forward; returns per-sample loss terms and backprop caches."""
-    s, p = arch.stride, arch.padding
-    cache: dict = {"x": x}
-    h = x
-    enc_cols, enc_pre = [], []
-    for i in range(4):
-        y, cols = nnops.conv2d(h, params[f"enc{i}_w"], params[f"enc{i}_b"], s, p)
-        enc_cols.append(cols)
-        enc_pre.append(y)
-        cache[f"enc{i}_in_shape"] = h.shape
-        h = nnops.relu(y)
-        cache[f"enc{i}_act"] = h
-    n = x.shape[0]
-    flat = h.reshape(n, -1)
-    mu = nnops.linear(flat, params["mu_w"], params["mu_b"])
-    logvar_raw = nnops.linear(flat, params["logvar_w"], params["logvar_b"])
+    enc_tape, dec_tape = [], []
+    mu, logvar_raw, acts = vae.encoder(params, arch, x, enc_tape)
     logvar = np.clip(logvar_raw, vae.LOGVAR_MIN, vae.LOGVAR_MAX)
     std = np.exp(0.5 * logvar)
     z = mu + std * noise
-
-    d_pre = nnops.linear(z, params["dec_w"], params["dec_b"])
-    d_act = nnops.relu(d_pre)
-    vol = d_act.reshape(n, arch.conv_channels[-1], arch.grid_size, arch.grid_size)
-    t_in = vol
-    tdec_in, tdec_pre = [], []
-    for i in range(4):
-        tdec_in.append(t_in)
-        y = nnops.conv_transpose2d(t_in, params[f"tdec{i}_w"], params[f"tdec{i}_b"], s, p)
-        tdec_pre.append(y)
-        t_in = nnops.relu(y) if i < 3 else y
-    recon = t_in
+    recon = vae.decoder(params, arch, z, dec_tape)
 
     diff = recon - x
     recon_per = np.sum(diff * diff, axis=(1, 2, 3))
-    kl_per = 0.5 * np.sum(mu * mu + np.exp(logvar) - logvar - 1.0, axis=1)
+    kl_per = vae._kl(mu, logvar)
     total_per = recon_per + beta_kl * kl_per
 
-    cache.update(enc_cols=enc_cols, enc_pre=enc_pre, flat=flat, mu=mu,
+    cache = dict(enc_tape=enc_tape, dec_tape=dec_tape,
+                 flat=acts.reshape(acts.shape[0], -1), mu=mu,
                  logvar_raw=logvar_raw, logvar=logvar, std=std, noise=noise,
-                 z=z, d_pre=d_pre, tdec_in=tdec_in, tdec_pre=tdec_pre, diff=diff)
+                 diff=diff)
     return total_per, recon_per, kl_per, cache
 
 
@@ -138,19 +95,19 @@ def _backward(params: dict[str, np.ndarray], arch: VaeArchitecture,
               cache: dict, beta_kl: float) -> dict[str, np.ndarray]:
     """Gradients of mean per-sample total loss w.r.t. every parameter."""
     s, p = arch.stride, arch.padding
-    n = cache["x"].shape[0]
+    enc_tape, dec_tape = cache["enc_tape"], cache["dec_tape"]
+    n = cache["diff"].shape[0]
     grads: dict[str, np.ndarray] = {}
 
+    # dec_tape[0] is the dense layer, dec_tape[i + 1] transposed conv i
     g = 2.0 * cache["diff"] / n
     for i in range(3, -1, -1):
-        dx, dw, db = nnops.conv_transpose2d_backward(
-            g, cache["tdec_in"][i], params[f"tdec{i}_w"], s, p)
-        grads[f"tdec{i}_w"], grads[f"tdec{i}_b"] = dw, db
-        g = nnops.relu_backward(dx, cache["tdec_pre"][i - 1]) if i > 0 else dx
-    d_act_grad = g.reshape(n, -1)
-    d_pre_grad = nnops.relu_backward(d_act_grad, cache["d_pre"])
+        dx, grads[f"tdec{i}_w"], grads[f"tdec{i}_b"] = nnops.conv_transpose2d_backward(
+            g, dec_tape[i + 1][0], params[f"tdec{i}_w"], s, p)
+        pre = dec_tape[i][1]
+        g = nnops.relu_backward(dx.reshape(pre.shape), pre)
     dz, grads["dec_w"], grads["dec_b"] = nnops.linear_backward(
-        d_pre_grad, cache["z"], params["dec_w"])
+        g, dec_tape[0][0], params["dec_w"])
 
     mu, logvar, std, noise = cache["mu"], cache["logvar"], cache["std"], cache["noise"]
     dmu = dz + (beta_kl / n) * mu
@@ -162,15 +119,13 @@ def _backward(params: dict[str, np.ndarray], arch: VaeArchitecture,
         dmu, cache["flat"], params["mu_w"])
     dflat_lv, grads["logvar_w"], grads["logvar_b"] = nnops.linear_backward(
         dlogvar_raw, cache["flat"], params["logvar_w"])
-    g = (dflat_mu + dflat_lv).reshape(cache["enc3_act"].shape)
+    g = (dflat_mu + dflat_lv).reshape(enc_tape[3][2].shape)
 
     for i in range(3, -1, -1):
-        g = nnops.relu_backward(g, cache["enc_pre"][i])
-        dx, dw, db = nnops.conv2d_backward(
-            g, cache["enc_cols"][i], params[f"enc{i}_w"],
-            cache[f"enc{i}_in_shape"], s, p)
-        grads[f"enc{i}_w"], grads[f"enc{i}_b"] = dw, db
-        g = dx
+        in_shape, cols, pre = enc_tape[i]
+        g = nnops.relu_backward(g, pre)
+        g, grads[f"enc{i}_w"], grads[f"enc{i}_b"] = nnops.conv2d_backward(
+            g, cols, params[f"enc{i}_w"], in_shape, s, p)
     return grads
 
 

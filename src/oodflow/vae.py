@@ -2,10 +2,11 @@
 
 The encoder maps a 2-channel flow field through four stride-2 convolutions
 (ReLU) to a diagonal-Gaussian latent posterior; the decoder mirrors it with
-transposed convolutions.  The nonconformity score of an input is the KL
-divergence of its posterior from the standard-normal prior, summed over
-latent dimensions: small for motion resembling the training data, large for
-out-of-distribution motion.
+transposed convolutions.  :func:`encoder` and :func:`decoder` define them
+once for any float dtype: inference runs float32, training float64.  The
+nonconformity score of an input is the KL divergence of its posterior from
+the standard-normal prior, summed over latent dimensions: small for motion
+resembling the training data, large for out-of-distribution motion.
 """
 
 from __future__ import annotations
@@ -174,8 +175,51 @@ def _check_finite(name: str, arr: np.ndarray) -> None:
         raise NumericError(f"non-finite values in {name}")
 
 
+def encoder(tensors: dict[str, np.ndarray], arch: VaeArchitecture,
+            x: np.ndarray, tape: list | None = None):
+    """The encoder network on (N, C, S, S) inputs, in the dtype of ``tensors``.
+
+    Returns (mu, raw logvar, last-conv volume); callers clamp logvar.  With
+    a ``tape``, each conv layer appends (input shape, im2col columns,
+    pre-activation) for the backward pass.
+    """
+    h = x
+    for i in range(4):
+        y, cols = nnops.conv2d(h, tensors[f"enc{i}_w"], tensors[f"enc{i}_b"],
+                               arch.stride, arch.padding)
+        if tape is not None:
+            tape.append((h.shape, cols, y))
+        h = nnops.relu(y)
+        del y, cols  # without a tape, free them before the next im2col
+    flat = h.reshape(h.shape[0], -1)
+    mu = nnops.linear(flat, tensors["mu_w"], tensors["mu_b"])
+    logvar = nnops.linear(flat, tensors["logvar_w"], tensors["logvar_b"])
+    return mu, logvar, h
+
+
+def decoder(tensors: dict[str, np.ndarray], arch: VaeArchitecture,
+            z: np.ndarray, tape: list | None = None) -> np.ndarray:
+    """The decoder network on (N, m) latents; returns (N, C, S, S).
+
+    With a ``tape``, the dense layer and then each transposed conv append
+    (input, pre-activation) for the backward pass.
+    """
+    pre = nnops.linear(z, tensors["dec_w"], tensors["dec_b"])
+    if tape is not None:
+        tape.append((z, pre))
+    h = nnops.relu(pre).reshape(z.shape[0], arch.conv_channels[-1],
+                                arch.grid_size, arch.grid_size)
+    for i in range(4):
+        y = nnops.conv_transpose2d(h, tensors[f"tdec{i}_w"], tensors[f"tdec{i}_b"],
+                                   arch.stride, arch.padding)
+        if tape is not None:
+            tape.append((h, y))
+        h = nnops.relu(y) if i < 3 else y
+    return h
+
+
 def encode_batch(weights: VaeWeights, flows: np.ndarray):
-    """Forward the encoder on (N, 2, S, S) inputs.
+    """Forward the encoder on (N, 2, S, S) inputs in float32.
 
     Returns (mu, logvar, activations): (N, m), (N, m) with logvar clamped,
     and the post-ReLU volume of the fourth conv layer (N, C4, S/16, S/16).
@@ -186,17 +230,8 @@ def encode_batch(weights: VaeWeights, flows: np.ndarray):
     if x.ndim != 4 or x.shape[1:] != expected:
         raise ValueError(f"encoder input must be (N, {expected[0]}, {expected[1]}, "
                          f"{expected[2]}), got {x.shape}")
-    t = weights.tensors
-    h = x
-    for i in range(4):
-        h, _ = nnops.conv2d(h, t[f"enc{i}_w"], t[f"enc{i}_b"],
-                            arch.stride, arch.padding)
-        h = nnops.relu(h)
-    acts = h
-    flat = h.reshape(h.shape[0], -1)
-    mu = nnops.linear(flat, t["mu_w"], t["mu_b"])
-    logvar = np.clip(nnops.linear(flat, t["logvar_w"], t["logvar_b"]),
-                     LOGVAR_MIN, LOGVAR_MAX)
+    mu, logvar, acts = encoder(weights.tensors, arch, x)
+    logvar = np.clip(logvar, LOGVAR_MIN, LOGVAR_MAX)
     _check_finite("encoder outputs", mu)
     _check_finite("encoder outputs", logvar)
     _check_finite("encoder activations", acts)
@@ -228,30 +263,21 @@ def reparameterize(posterior: LatentPosterior, noise: np.ndarray) -> np.ndarray:
     return posterior.mu + np.exp(0.5 * posterior.logvar) * noise
 
 
-def decode_batch(weights: VaeWeights, z: np.ndarray) -> np.ndarray:
-    """Forward the decoder on (N, m) latents; returns (N, 2, S, S)."""
-    arch = weights.arch
-    z = np.ascontiguousarray(z, dtype=np.float32)
-    if z.ndim != 2 or z.shape[1] != arch.latent_dim:
-        raise ValueError(f"decoder input must be (N, {arch.latent_dim}), got {z.shape}")
-    t = weights.tensors
-    h = nnops.relu(nnops.linear(z, t["dec_w"], t["dec_b"]))
-    h = h.reshape(z.shape[0], arch.conv_channels[-1], arch.grid_size, arch.grid_size)
-    for i in range(4):
-        h = nnops.conv_transpose2d(h, t[f"tdec{i}_w"], t[f"tdec{i}_b"],
-                                   arch.stride, arch.padding)
-        if i < 3:
-            h = nnops.relu(h)
-    _check_finite("decoder output", h)
-    return h
-
-
 def decode(weights: VaeWeights, z: np.ndarray) -> np.ndarray:
-    """Decode one latent vector into a (2, S, S) flow reconstruction."""
+    """Decode one latent vector into a (2, S, S) flow reconstruction (float32)."""
     z = np.asarray(z)
-    if z.ndim != 1:
-        raise ValueError(f"z must be 1-D, got shape {z.shape}")
-    return decode_batch(weights, z[np.newaxis])[0]
+    if z.shape != (weights.arch.latent_dim,):
+        raise ValueError(f"z must be 1-D of length {weights.arch.latent_dim}, "
+                         f"got shape {z.shape}")
+    h = decoder(weights.tensors, weights.arch,
+                np.ascontiguousarray(z[np.newaxis], dtype=np.float32))
+    _check_finite("decoder output", h)
+    return h[0]
+
+
+def _kl(mu: np.ndarray, logvar: np.ndarray):
+    """KL(N(mu, exp(logvar)) || N(0, I)) summed over the last axis."""
+    return 0.5 * np.sum(mu * mu + np.exp(logvar) - logvar - 1.0, axis=-1)
 
 
 def kl_score(posterior: LatentPosterior) -> float:
@@ -260,13 +286,16 @@ def kl_score(posterior: LatentPosterior) -> float:
     Closed form per dimension: 0.5 * (mu^2 + exp(logvar) - logvar - 1).
     Zero exactly when the posterior is standard normal, positive otherwise.
     """
-    mu, logvar = posterior.mu, posterior.logvar
-    return float(0.5 * np.sum(mu * mu + np.exp(logvar) - logvar - 1.0))
+    return float(_kl(posterior.mu, posterior.logvar))
 
 
-def kl_scores_from(mu: np.ndarray, logvar: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`kl_score` over a batch of posteriors (N, m)."""
-    return 0.5 * np.sum(mu * mu + np.exp(logvar) - logvar - 1.0, axis=1)
+def score_flow(weights: VaeWeights, flow: np.ndarray):
+    """Score one raw (2, H, W) flow field: preprocess, encode, KL.
+
+    Returns (EncodeOutput, alpha); the encoder output feeds the overlay.
+    """
+    out = encode(weights, preprocess(flow, weights.arch, weights.max_flow))
+    return out, kl_score(out.posterior)
 
 
 def preprocess(flow: np.ndarray, arch: VaeArchitecture,

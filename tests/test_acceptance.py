@@ -15,7 +15,7 @@ import pytest
 
 from oodflow import (cli, conformal, harness, localization, opticflow,
                      synthdata, trainer, vae)
-from oodflow.trainer import CalibrationSet
+from oodflow.conformal import CalibrationSet
 
 from naive_ref import log_mix_trapezoid, mixture_mean_tail
 
@@ -257,8 +257,7 @@ def test_c08_localization_mass(benchmark64, flow_params):
         for t in run:
             flow = opticflow.lucas_kanade(ep.frames[t - 1], ep.frames[t],
                                           flow_params)
-            out = vae.encode(weights, vae.preprocess(flow, weights.arch,
-                                                     weights.max_flow))
+            out, _ = vae.score_flow(weights, flow)
             m = localization.overlay(out.last_conv_activations, stats, 64)
             fractions.append(float(m[rows, cols].sum() / max(m.sum(), 1e-12)))
     mean_frac = float(np.mean(fractions))

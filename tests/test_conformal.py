@@ -4,8 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oodflow import conformal, synthdata
-from oodflow.conformal import DetectorConfig, DetectorState
-from oodflow.trainer import CalibrationSet
+from oodflow.conformal import CalibrationSet, DetectorConfig, DetectorState
 
 
 from naive_ref import log_mix_trapezoid

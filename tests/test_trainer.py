@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from oodflow import nnops, trainer, vae
-from oodflow.trainer import CalibrationSet, TrainConfig
+from oodflow.conformal import CalibrationSet
+from oodflow.trainer import TrainConfig
 from oodflow.vae import LatentPosterior, NumericError, VaeArchitecture
 
 

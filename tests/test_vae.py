@@ -95,6 +95,24 @@ def test_decode_matches_reference_forward(tiny_arch):
     np.testing.assert_allclose(out, ref, rtol=1e-4, atol=1e-5)
 
 
+def test_float64_network_matches_reference_forward(tiny_arch):
+    """The shared encoder/decoder on float64 params, as training runs them."""
+    w = vae.init_weights(tiny_arch, 44)
+    params = {k: v.astype(np.float64) for k, v in w.tensors.items()}
+    x = _rand_flow(tiny_arch, seed=8)
+    mu, logvar, acts = vae.encoder(params, tiny_arch, x.astype(np.float64)[None])
+    ref_mu, ref_logvar, ref_acts = naive_encode(w, x)
+    tol = dict(rtol=1e-9, atol=1e-12)
+    np.testing.assert_allclose(mu[0], ref_mu, **tol)
+    np.testing.assert_allclose(np.clip(logvar[0], vae.LOGVAR_MIN, vae.LOGVAR_MAX),
+                               ref_logvar, **tol)
+    np.testing.assert_allclose(acts[0], ref_acts, **tol)
+    z = np.random.default_rng(4).normal(size=tiny_arch.latent_dim)
+    recon = vae.decoder(params, tiny_arch, z[None])
+    assert recon.dtype == np.float64
+    np.testing.assert_allclose(recon[0], naive_decode(w, z), **tol)
+
+
 def test_encode_rejects_wrong_shape(tiny_arch):
     w = vae.init_weights(tiny_arch, 0)
     with pytest.raises(ValueError):
