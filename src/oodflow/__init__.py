@@ -9,22 +9,21 @@ overlay localizes the anomaly from encoder activations.
 
 from .conformal import (CalibrationSet, CurvePoint, DetectionEvent,
                         DetectorConfig, DetectorState, detect_episode,
-                        events_from_curve, log_mixture_martingale,
-                        log_mixture_martingale_batch, p_value, step)
+                        events_from_curve, log_mixture_martingale, p_value,
+                        step)
 from .gridio import (EpisodeManifest, FormatError, as_grid, read_fgrid,
-                     read_manifest, read_pgm, rgb_to_gray, write_fgrid,
-                     write_manifest, write_pgm, write_ppm)
+                     read_manifest, read_pgm, write_fgrid, write_manifest,
+                     write_pgm, write_ppm)
 from .harness import (LatencyReport, Metrics, evaluate, grid_search,
                       load_corpus, measure_latency)
 from .localization import ActivationStats, activation_stats, overlay, render
 from .opticflow import FlowParams, GradientField, gradients, lucas_kanade
 from .synthdata import (AnomalySpec, Episode, SceneConfig, gen_benchmark,
                         gen_id_episode, gen_ood_episode, gen_texture)
-from .trainer import (TrainConfig, build_calibration, elbo_loss,
-                      gradient_check, split_calibration, train)
+from .trainer import (TrainConfig, build_calibration, gradient_check,
+                      split_calibration, train)
 from .vae import (EncodeOutput, LatentPosterior, NumericError,
-                  VaeArchitecture, VaeWeights, decode, encode, init_weights,
-                  kl_score, load_weights, preprocess, reparameterize,
-                  save_weights, score_flow)
+                  VaeArchitecture, VaeWeights, encode, init_weights, kl_score,
+                  load_weights, preprocess, save_weights, score_flow)
 
 __version__ = "0.1.0"

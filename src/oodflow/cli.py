@@ -112,8 +112,7 @@ def _cmd_train(args) -> None:
         raise ValueError("corpus contains no ID flow pairs to train on")
     train_part, _ = trainer_mod.split_calibration(dataset, args.fraction, args.seed)
     config = trainer_mod.TrainConfig(epochs=args.epochs, seed=args.seed,
-                                     batch_size=args.batch_size,
-                                     calibration_fraction=args.fraction)
+                                     batch_size=args.batch_size)
     weights, log = trainer_mod.train(train_part, config, arch, args.max_flow)
     vae.save_weights(args.out, weights)
     if args.log:

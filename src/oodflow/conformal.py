@@ -26,7 +26,9 @@ import numpy as np
 
 from . import opticflow, vae
 
-_GL_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+# 64-node Gauss-Legendre rule on [0, 1] for the mixture integral
+_NODES, _WEIGHTS = np.polynomial.legendre.leggauss(64)
+_EPS, _LOG_W = 0.5 * (_NODES + 1.0), np.log(0.5 * _WEIGHTS)
 
 
 @dataclass(frozen=True)
@@ -57,21 +59,17 @@ class DetectorConfig:
     window: number of most recent p-values the martingale is computed over.
     log_threshold: detection threshold on ln(M), in nats.
     consecutive: frames the threshold must be exceeded in a row to declare.
-    quadrature_nodes: Gauss-Legendre node count for the mixture integral.
     """
 
     window: int = 10
     log_threshold: float = 3.0
     consecutive: int = 10
-    quadrature_nodes: int = 64
 
     def __post_init__(self):
         if self.window < 1:
             raise ValueError("window must be >= 1")
         if self.consecutive < 1:
             raise ValueError("consecutive must be >= 1")
-        if self.quadrature_nodes < 8:
-            raise ValueError("quadrature_nodes must be >= 8")
 
 
 @dataclass(frozen=True)
@@ -119,48 +117,31 @@ def p_value(cal: CalibrationSet, alpha: float) -> float:
     return (l - idx + 1) / (l + 1)
 
 
-def _gl_nodes(n: int):
-    hit = _GL_CACHE.get(n)
-    if hit is None:
-        t, w = np.polynomial.legendre.leggauss(n)
-        hit = _GL_CACHE[n] = (0.5 * (t + 1.0), 0.5 * w)
-    return hit
-
-
-def _log_mix_from_sums(k, log_sum, nodes: int):
+def _log_mix_from_sums(k, log_sum):
     """ln M for window length(s) k and sum-of-log-p value(s), vectorized."""
-    eps, w = _gl_nodes(nodes)
     k = np.asarray(k, dtype=np.float64)
     log_sum = np.asarray(log_sum, dtype=np.float64)
-    g = (np.log(w) + k[..., None] * np.log(eps)
-         + (eps - 1.0) * log_sum[..., None])
+    g = (_LOG_W + k[..., None] * np.log(_EPS)
+         + (_EPS - 1.0) * log_sum[..., None])
     shift = g.max(axis=-1)
     return shift + np.log(np.exp(g - shift[..., None]).sum(axis=-1))
 
 
-def log_mixture_martingale(p_window, nodes: int = 64) -> float:
+def log_mixture_martingale(p_window):
     """ln of the mixture martingale over a window of p-values.
 
-    All p-values must lie in (0, 1].  Accurate to well below 1e-6 relative
-    for windows up to a few dozen frames at the default 64 nodes.
+    Takes one (k,) window and returns a float, or an (N, k) array of windows
+    and returns their (N,) values.  All p-values must lie in (0, 1].
+    Accurate to well below 1e-6 relative for windows up to a few dozen
+    frames.
     """
     p = np.asarray(p_window, dtype=np.float64)
-    if p.ndim != 1 or p.size < 1:
-        raise ValueError("p_window must be a nonempty 1-D sequence")
+    if p.ndim not in (1, 2) or p.shape[-1] < 1:
+        raise ValueError("p_window must be a nonempty (k,) or (N, k) array")
     if np.any(p <= 0.0) or np.any(p > 1.0):
         raise ValueError("p-values must lie in (0, 1]")
-    return float(_log_mix_from_sums(p.size, np.sum(np.log(p)), nodes))
-
-
-def log_mixture_martingale_batch(p: np.ndarray, nodes: int = 64) -> np.ndarray:
-    """Vectorized ln M over rows of an (N, k) array of p-values."""
-    p = np.asarray(p, dtype=np.float64)
-    if p.ndim != 2 or p.shape[1] < 1:
-        raise ValueError("expected an (N, k) array of p-values")
-    if np.any(p <= 0.0) or np.any(p > 1.0):
-        raise ValueError("p-values must lie in (0, 1]")
-    return _log_mix_from_sums(np.full(p.shape[0], p.shape[1]),
-                              np.sum(np.log(p), axis=1), nodes)
+    log_m = _log_mix_from_sums(p.shape[-1], np.sum(np.log(p), axis=-1))
+    return float(log_m) if p.ndim == 1 else log_m
 
 
 def _advance_run(run: tuple, log_m: float, frame: int, cfg: DetectorConfig,
@@ -197,7 +178,7 @@ def step(state: DetectorState, alpha: float, cal: CalibrationSet,
     """
     p = p_value(cal, alpha)
     window = (state.p_window + (p,))[-cfg.window:]
-    log_m = log_mixture_martingale(window, cfg.quadrature_nodes)
+    log_m = log_mixture_martingale(window)
     frame = state.frame_index
     (exceed, run_start, run_peak), event = _advance_run(
         (state.exceed_count, state.run_start, state.run_peak), log_m, frame,

@@ -10,6 +10,7 @@ are JSON documents listing frame files and ground-truth labels.
 from __future__ import annotations
 
 import json
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -54,17 +55,6 @@ def frame2d(grid) -> np.ndarray:
     return g[0]
 
 
-def rgb_to_gray(rgb) -> np.ndarray:
-    """Optional import path for color sources: luma conversion to a C=1 grid.
-
-    The pipeline itself consumes motion, not color, so grayscale is the
-    native input; this exists only so RGB frame sources can be adapted.
-    """
-    img = as_grid(rgb, channels=3)
-    gray = 0.299 * img[0] + 0.587 * img[1] + 0.114 * img[2]
-    return gray[np.newaxis].astype(np.float32)
-
-
 # ---------------------------------------------------------------------------
 # PGM (binary P5, maxval 255)
 # ---------------------------------------------------------------------------
@@ -105,12 +95,12 @@ def read_pgm(path) -> np.ndarray:
             raise FormatError(f"invalid PGM dimensions {width}x{height}")
         if maxval != 255:
             raise FormatError(f"unsupported PGM maxval {maxval} (expected 255)")
+        # checked before reading: a huge header would make read() fail otherwise
+        left = os.fstat(fh.fileno()).st_size - fh.tell()
+        if width * height > left:
+            raise EOFError(f"truncated PGM payload: expected {width * height} "
+                           f"bytes, got {left}")
         payload = fh.read(width * height)
-        if len(payload) != width * height:
-            raise EOFError(
-                f"truncated PGM payload: expected {width * height} bytes, "
-                f"got {len(payload)}"
-            )
     data = np.frombuffer(payload, dtype=np.uint8).reshape(height, width)
     return (data.astype(np.float32) / 255.0)[np.newaxis, :, :]
 
@@ -233,10 +223,11 @@ def read_manifest(path) -> EpisodeManifest:
     if not isinstance(frames, list) or not all(isinstance(f, str) for f in frames):
         raise ValueError("manifest 'frames' must be a list of paths")
     onset = doc.get("onset_frame")
-    if onset is not None and not isinstance(onset, int):
+    # bool is a subclass of int, but a JSON true/false is not a count
+    if onset is not None and (isinstance(onset, bool) or not isinstance(onset, int)):
         raise ValueError("onset_frame must be an integer")
     fps = doc.get("fps")
-    if fps is not None and not isinstance(fps, (int, float)):
+    if fps is not None and (isinstance(fps, bool) or not isinstance(fps, (int, float))):
         raise ValueError("fps must be a number")
     base = path.parent
     resolved = tuple(base / f if not Path(f).is_absolute() else Path(f) for f in frames)

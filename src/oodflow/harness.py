@@ -96,16 +96,15 @@ def load_frames(manifest: EpisodeManifest) -> list[np.ndarray]:
 
 def corpus_flow_dataset(manifests, flow_params: opticflow.FlowParams,
                         arch: vae.VaeArchitecture,
-                        max_flow: float = vae.DEFAULT_MAX_FLOW,
-                        ids_only: bool = True) -> list[np.ndarray]:
+                        max_flow: float = vae.DEFAULT_MAX_FLOW) -> list[np.ndarray]:
     """Preprocessed flow grids from every consecutive frame pair.
 
-    With ids_only (the default) only ID-labeled episodes contribute, which
-    is what both training and calibration require.
+    Only ID-labeled episodes contribute, which is what both training and
+    calibration require.
     """
     dataset: list[np.ndarray] = []
     for manifest in manifests:
-        if ids_only and manifest.label != gridio.LABEL_ID:
+        if manifest.label != gridio.LABEL_ID:
             continue
         frames = load_frames(manifest)
         for a, b in zip(frames, frames[1:]):

@@ -17,6 +17,7 @@ from . import nnops, vae
 from .gridio import frame2d
 
 STD_FLOOR = 1e-6
+STATS_CHUNK = 64  # flows encoded per batch; bounds the im2col memory
 
 
 @dataclass(frozen=True)
@@ -36,15 +37,15 @@ class ActivationStats:
             raise ValueError("std must be nonnegative")
 
 
-def activation_stats(weights: vae.VaeWeights, cal_flows, chunk: int = 64) -> ActivationStats:
+def activation_stats(weights: vae.VaeWeights, cal_flows) -> ActivationStats:
     """Mean and population std of last-conv activations over >= 2 flows."""
     flows = list(cal_flows)
     if len(flows) < 2:
         raise ValueError("need at least 2 calibration flows")
     total = None
     total_sq = None
-    for start in range(0, len(flows), chunk):
-        batch = np.stack(flows[start:start + chunk])
+    for start in range(0, len(flows), STATS_CHUNK):
+        batch = np.stack(flows[start:start + STATS_CHUNK])
         _, _, acts = vae.encode_batch(weights, batch)
         acts = acts.astype(np.float64)
         s = acts.sum(axis=0)

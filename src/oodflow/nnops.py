@@ -61,16 +61,15 @@ def col2im(cols: np.ndarray, channels: int, height: int, width: int,
     return np.ascontiguousarray(out, dtype=cols.dtype)
 
 
-def conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray, stride: int, pad: int,
-           cols: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+def conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray, stride: int,
+           pad: int) -> tuple[np.ndarray, np.ndarray]:
     """Strided convolution; weight layout (out_c, in_c, k, k).
 
     Returns the output and the im2col cache needed by the backward pass.
     """
     n, _, h, width = x.shape
     oc, _, k, _ = w.shape
-    if cols is None:
-        cols = im2col(x, k, stride, pad)
+    cols = im2col(x, k, stride, pad)
     out_h = (h + 2 * pad - k) // stride + 1
     out_w = (width + 2 * pad - k) // stride + 1
     y = np.matmul(w.reshape(oc, -1), cols) + b[:, None]

@@ -16,8 +16,11 @@ import numpy as np
 
 from . import nnops, vae
 from .conformal import CalibrationSet
-from .vae import (LatentPosterior, NumericError, VaeArchitecture, VaeWeights,
-                  kl_score)
+from .vae import NumericError, VaeArchitecture, VaeWeights, kl_score
+
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPSILON = 1e-8
 
 
 @dataclass(frozen=True)
@@ -25,20 +28,14 @@ class TrainConfig:
     epochs: int
     batch_size: int = 32
     learning_rate: float = 1e-3
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_epsilon: float = 1e-8
     beta_kl: float = 1.0
     seed: int = 0
-    calibration_fraction: float = 0.2
 
     def __post_init__(self):
         if self.epochs < 0:
             raise ValueError("epochs must be >= 0")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        if not 0.0 < self.calibration_fraction < 1.0:
-            raise ValueError("calibration_fraction must be in (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -49,22 +46,6 @@ class EpochStats:
     mean_kl: float
 
 
-def elbo_loss(recon, target, posterior: LatentPosterior,
-              beta_kl: float = 1.0) -> tuple[float, float, float]:
-    """Per-sample loss: (total, reconstruction term, KL term).
-
-    The reconstruction term is the sum of squared differences over all
-    elements; total = recon + beta_kl * kl.
-    """
-    recon = np.asarray(recon, dtype=np.float64)
-    target = np.asarray(target, dtype=np.float64)
-    if recon.shape != target.shape:
-        raise ValueError(f"shape mismatch: {recon.shape} vs {target.shape}")
-    recon_term = float(np.sum((recon - target) ** 2))
-    kl_term = kl_score(posterior)
-    return recon_term + beta_kl * kl_term, recon_term, kl_term
-
-
 # ---------------------------------------------------------------------------
 # Loss and gradients through the shared network (float64)
 # ---------------------------------------------------------------------------
@@ -73,7 +54,7 @@ def _forward(params: dict[str, np.ndarray], arch: VaeArchitecture,
              x: np.ndarray, noise: np.ndarray, beta_kl: float):
     """Full VAE forward; returns per-sample loss terms and backprop caches."""
     enc_tape, dec_tape = [], []
-    mu, logvar_raw, acts = vae.encoder(params, arch, x, enc_tape)
+    mu, logvar_raw, acts = vae.encoder(params, x, enc_tape)
     logvar = np.clip(logvar_raw, vae.LOGVAR_MIN, vae.LOGVAR_MAX)
     std = np.exp(0.5 * logvar)
     z = mu + std * noise
@@ -91,10 +72,10 @@ def _forward(params: dict[str, np.ndarray], arch: VaeArchitecture,
     return total_per, recon_per, kl_per, cache
 
 
-def _backward(params: dict[str, np.ndarray], arch: VaeArchitecture,
-              cache: dict, beta_kl: float) -> dict[str, np.ndarray]:
+def _backward(params: dict[str, np.ndarray], cache: dict,
+              beta_kl: float) -> dict[str, np.ndarray]:
     """Gradients of mean per-sample total loss w.r.t. every parameter."""
-    s, p = arch.stride, arch.padding
+    s, p = vae.STRIDE, vae.PADDING
     enc_tape, dec_tape = cache["enc_tape"], cache["dec_tape"]
     n = cache["diff"].shape[0]
     grads: dict[str, np.ndarray] = {}
@@ -129,13 +110,6 @@ def _backward(params: dict[str, np.ndarray], arch: VaeArchitecture,
     return grads
 
 
-def batch_loss(params: dict[str, np.ndarray], arch: VaeArchitecture,
-               x: np.ndarray, noise: np.ndarray, beta_kl: float) -> float:
-    """Mean per-sample total loss (the quantity train() descends)."""
-    total_per, _, _, _ = _forward(params, arch, x, noise, beta_kl)
-    return float(total_per.mean())
-
-
 # ---------------------------------------------------------------------------
 # Training loop
 # ---------------------------------------------------------------------------
@@ -155,7 +129,7 @@ def train(dataset, config: TrainConfig, arch: VaeArchitecture | None = None,
         if x_all.shape[2] != x_all.shape[3]:
             raise ValueError("flow grids must be square")
         arch = VaeArchitecture(input_size=x_all.shape[2])
-    expected = (arch.input_channels, arch.input_size, arch.input_size)
+    expected = (vae.INPUT_CHANNELS, arch.input_size, arch.input_size)
     if x_all.shape[1:] != expected:
         raise ValueError(f"dataset items must have shape {expected}, got {x_all.shape[1:]}")
 
@@ -185,17 +159,17 @@ def train(dataset, config: TrainConfig, arch: VaeArchitecture | None = None,
             tot_sum += float(total_per.sum())
             rec_sum += float(recon_per.sum())
             kl_sum += float(kl_per.sum())
-            grads = _backward(params, arch, cache, config.beta_kl)
+            grads = _backward(params, cache, config.beta_kl)
             step += 1
-            b1c = 1.0 - config.adam_beta1 ** step
-            b2c = 1.0 - config.adam_beta2 ** step
+            b1c = 1.0 - ADAM_BETA1 ** step
+            b2c = 1.0 - ADAM_BETA2 ** step
             for name in params:
                 g = grads[name]
-                m_state[name] = config.adam_beta1 * m_state[name] + (1 - config.adam_beta1) * g
-                v_state[name] = config.adam_beta2 * v_state[name] + (1 - config.adam_beta2) * g * g
+                m_state[name] = ADAM_BETA1 * m_state[name] + (1 - ADAM_BETA1) * g
+                v_state[name] = ADAM_BETA2 * v_state[name] + (1 - ADAM_BETA2) * g * g
                 mhat = m_state[name] / b1c
                 vhat = v_state[name] / b2c
-                params[name] -= config.learning_rate * mhat / (np.sqrt(vhat) + config.adam_epsilon)
+                params[name] -= config.learning_rate * mhat / (np.sqrt(vhat) + ADAM_EPSILON)
         log.append(EpochStats(epoch=epoch, mean_total=tot_sum / n,
                               mean_recon=rec_sum / n, mean_kl=kl_sum / n))
 
@@ -232,7 +206,7 @@ def gradient_check(weights: VaeWeights, sample, n_params: int = 120,
     noise = np.zeros((1, arch.latent_dim))
 
     _, _, _, cache = _forward(params, arch, x, noise, beta_kl)
-    grads = _backward(params, arch, cache, beta_kl)
+    grads = _backward(params, cache, beta_kl)
 
     if indices is None:
         names = list(params)
@@ -250,9 +224,9 @@ def gradient_check(weights: VaeWeights, sample, n_params: int = 120,
         w0 = params[name].flat[idx]
         h = 1e-5 * max(1.0, abs(w0))
         params[name].flat[idx] = w0 + h
-        loss_p = batch_loss(params, arch, x, noise, beta_kl)
+        loss_p = _forward(params, arch, x, noise, beta_kl)[0].mean()
         params[name].flat[idx] = w0 - h
-        loss_m = batch_loss(params, arch, x, noise, beta_kl)
+        loss_m = _forward(params, arch, x, noise, beta_kl)[0].mean()
         params[name].flat[idx] = w0
         numeric = (loss_p - loss_m) / (2.0 * h)
         analytic = grads[name].flat[idx]

@@ -3,10 +3,11 @@
 The encoder maps a 2-channel flow field through four stride-2 convolutions
 (ReLU) to a diagonal-Gaussian latent posterior; the decoder mirrors it with
 transposed convolutions.  :func:`encoder` and :func:`decoder` define them
-once for any float dtype: inference runs float32, training float64.  The
-nonconformity score of an input is the KL divergence of its posterior from
-the standard-normal prior, summed over latent dimensions: small for motion
-resembling the training data, large for out-of-distribution motion.
+once for any float dtype: inference runs the encoder in float32, training
+runs both in float64.  The nonconformity score of an input is the KL
+divergence of its posterior from the standard-normal prior, summed over
+latent dimensions: small for motion resembling the training data, large for
+out-of-distribution motion.
 """
 
 from __future__ import annotations
@@ -26,6 +27,12 @@ LOGVAR_MAX = 10.0
 
 DEFAULT_MAX_FLOW = 8.0
 
+# The weights header records none of these, so they are not architecture fields.
+KERNEL = 4
+STRIDE = 2
+PADDING = 1
+INPUT_CHANNELS = 2  # flow (u, v)
+
 
 class NumericError(ArithmeticError):
     """A computation produced non-finite values."""
@@ -43,10 +50,6 @@ class VaeArchitecture:
     input_size: int = 64
     latent_dim: int = 24
     conv_channels: tuple[int, int, int, int] = (32, 64, 128, 256)
-    kernel: int = 4
-    stride: int = 2
-    padding: int = 1
-    input_channels: int = 2
 
     def __post_init__(self):
         if len(self.conv_channels) != 4:
@@ -66,8 +69,8 @@ class VaeArchitecture:
 
     def tensor_shapes(self) -> dict[str, tuple[int, ...]]:
         """Shapes of all weight tensors, in canonical serialization order."""
-        chans = (self.input_channels,) + tuple(self.conv_channels)
-        k = self.kernel
+        chans = (INPUT_CHANNELS,) + tuple(self.conv_channels)
+        k = KERNEL
         shapes: dict[str, tuple[int, ...]] = {}
         for i in range(4):
             shapes[f"enc{i}_w"] = (chans[i + 1], chans[i], k, k)
@@ -175,8 +178,8 @@ def _check_finite(name: str, arr: np.ndarray) -> None:
         raise NumericError(f"non-finite values in {name}")
 
 
-def encoder(tensors: dict[str, np.ndarray], arch: VaeArchitecture,
-            x: np.ndarray, tape: list | None = None):
+def encoder(tensors: dict[str, np.ndarray], x: np.ndarray,
+            tape: list | None = None):
     """The encoder network on (N, C, S, S) inputs, in the dtype of ``tensors``.
 
     Returns (mu, raw logvar, last-conv volume); callers clamp logvar.  With
@@ -186,7 +189,7 @@ def encoder(tensors: dict[str, np.ndarray], arch: VaeArchitecture,
     h = x
     for i in range(4):
         y, cols = nnops.conv2d(h, tensors[f"enc{i}_w"], tensors[f"enc{i}_b"],
-                               arch.stride, arch.padding)
+                               STRIDE, PADDING)
         if tape is not None:
             tape.append((h.shape, cols, y))
         h = nnops.relu(y)
@@ -211,7 +214,7 @@ def decoder(tensors: dict[str, np.ndarray], arch: VaeArchitecture,
                                 arch.grid_size, arch.grid_size)
     for i in range(4):
         y = nnops.conv_transpose2d(h, tensors[f"tdec{i}_w"], tensors[f"tdec{i}_b"],
-                                   arch.stride, arch.padding)
+                                   STRIDE, PADDING)
         if tape is not None:
             tape.append((h, y))
         h = nnops.relu(y) if i < 3 else y
@@ -226,11 +229,11 @@ def encode_batch(weights: VaeWeights, flows: np.ndarray):
     """
     arch = weights.arch
     x = np.ascontiguousarray(flows, dtype=np.float32)
-    expected = (arch.input_channels, arch.input_size, arch.input_size)
+    expected = (INPUT_CHANNELS, arch.input_size, arch.input_size)
     if x.ndim != 4 or x.shape[1:] != expected:
         raise ValueError(f"encoder input must be (N, {expected[0]}, {expected[1]}, "
                          f"{expected[2]}), got {x.shape}")
-    mu, logvar, acts = encoder(weights.tensors, arch, x)
+    mu, logvar, acts = encoder(weights.tensors, x)
     logvar = np.clip(logvar, LOGVAR_MIN, LOGVAR_MAX)
     _check_finite("encoder outputs", mu)
     _check_finite("encoder outputs", logvar)
@@ -252,27 +255,6 @@ def encode(weights: VaeWeights, flow: np.ndarray) -> EncodeOutput:
         posterior=LatentPosterior(mu=mu[0], logvar=logvar[0]),
         last_conv_activations=acts[0],
     )
-
-
-def reparameterize(posterior: LatentPosterior, noise: np.ndarray) -> np.ndarray:
-    """Draw z = mu + exp(logvar/2) * noise for given standard-normal noise."""
-    noise = np.asarray(noise, dtype=np.float64)
-    if noise.shape != posterior.mu.shape:
-        raise ValueError(f"noise length {noise.shape} does not match latent "
-                         f"dimension {posterior.mu.shape}")
-    return posterior.mu + np.exp(0.5 * posterior.logvar) * noise
-
-
-def decode(weights: VaeWeights, z: np.ndarray) -> np.ndarray:
-    """Decode one latent vector into a (2, S, S) flow reconstruction (float32)."""
-    z = np.asarray(z)
-    if z.shape != (weights.arch.latent_dim,):
-        raise ValueError(f"z must be 1-D of length {weights.arch.latent_dim}, "
-                         f"got shape {z.shape}")
-    h = decoder(weights.tensors, weights.arch,
-                np.ascontiguousarray(z[np.newaxis], dtype=np.float32))
-    _check_finite("decoder output", h)
-    return h[0]
 
 
 def _kl(mu: np.ndarray, logvar: np.ndarray):
@@ -309,8 +291,8 @@ def preprocess(flow: np.ndarray, arch: VaeArchitecture,
     if max_flow <= 0:
         raise ValueError("max_flow must be positive")
     f = np.asarray(flow)
-    if f.ndim != 3 or f.shape[0] != arch.input_channels:
-        raise ValueError(f"flow must be ({arch.input_channels}, H, W), got {f.shape}")
+    if f.ndim != 3 or f.shape[0] != INPUT_CHANNELS:
+        raise ValueError(f"flow must be ({INPUT_CHANNELS}, H, W), got {f.shape}")
     resized = nnops.bilinear_resize(f.astype(np.float64), arch.input_size,
                                     arch.input_size)
     clipped = np.clip(resized, -max_flow, max_flow)

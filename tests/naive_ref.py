@@ -77,7 +77,7 @@ def naive_encode(weights, flow):
     t = {k: v.astype(np.float64) for k, v in weights.tensors.items()}
     h = flow.astype(np.float64)[None]
     for i in range(4):
-        h = naive_conv2d(h, t[f"enc{i}_w"], t[f"enc{i}_b"], arch.stride, arch.padding)
+        h = naive_conv2d(h, t[f"enc{i}_w"], t[f"enc{i}_b"], stride=2, pad=1)
         h = np.maximum(h, 0.0)
     acts = h[0]
     flat = h.reshape(1, -1)
@@ -94,7 +94,7 @@ def naive_decode(weights, z):
     h = h.reshape(1, arch.conv_channels[-1], arch.grid_size, arch.grid_size)
     for i in range(4):
         h = naive_conv_transpose2d(h, t[f"tdec{i}_w"], t[f"tdec{i}_b"],
-                                   arch.stride, arch.padding)
+                                   stride=2, pad=1)
         if i < 3:
             h = np.maximum(h, 0.0)
     return h[0]

@@ -1,4 +1,5 @@
 import json
+import shutil
 import subprocess
 import sys
 
@@ -144,6 +145,29 @@ def test_exit_code_bad_weights_format(pipeline, tmp_path):
                    "--out-curve", str(tmp_path / "c.csv"),
                    "--out-events", str(tmp_path / "e.jsonl")])
     assert rc == cli.EXIT_IO
+
+
+def test_exit_code_oversized_pgm_header(pipeline, tmp_path):
+    corpus = tmp_path / "corpus"
+    shutil.copytree(pipeline["corpus"], corpus)
+    manifest = corpus / "id_0000" / "manifest.json"
+    victim = gridio.read_manifest(manifest).frame_paths[5]
+    victim.write_bytes(b"P5\n100000000000 100000000000\n255\n" + bytes(4))
+    rc = cli.main(["detect", "--episode", str(manifest),
+                   "--weights", str(pipeline["weights"]),
+                   "--cal", str(pipeline["cal"]),
+                   "--out-curve", str(tmp_path / "c.csv"),
+                   "--out-events", str(tmp_path / "e.jsonl")])
+    assert rc == cli.EXIT_IO
+    # eval skips the unreadable episode instead of aborting
+    out = tmp_path / "metrics.json"
+    with pytest.warns(UserWarning, match="skipping"):
+        rc = cli.main(["eval", "--corpus", str(corpus),
+                       "--weights", str(pipeline["weights"]),
+                       "--cal", str(pipeline["cal"]), "--out", str(out)])
+    assert rc == cli.EXIT_OK
+    doc = json.loads(out.read_text())
+    assert doc["tp"] + doc["fp"] + doc["tn"] + doc["fn"] == 4
 
 
 def test_module_entry_point():

@@ -58,6 +58,7 @@ def test_pgm_quantized_values_round_trip_exactly(tmp_path):
     (b"P5\n2 2\n65535\n" + bytes(8), FormatError),        # wrong maxval
     (b"P5\n2 x\n255\n" + bytes(4), FormatError),          # bad token
     (b"P5\n2 2\n255\n" + bytes(3), EOFError),             # truncated payload
+    (b"P5\n100000000000 100000000000\n255\n" + bytes(4), EOFError),  # huge header
 ])
 def test_read_pgm_errors(tmp_path, payload, err):
     p = tmp_path / "bad.pgm"
@@ -166,6 +167,8 @@ def test_read_manifest_ood_with_onset(tmp_path):
     {"frames": ["a", "b"], "label": "id"},           # missing id
     {"id": "x", "label": "id"},                      # missing frames
     {"id": "x", "frames": ["a", "b"]},               # missing label
+    _manifest_doc(label="ood", onset_frame=True),    # JSON booleans
+    _manifest_doc(fps=False),
 ])
 def test_read_manifest_rejects_invalid(tmp_path, doc):
     with pytest.raises(ValueError):
@@ -229,16 +232,3 @@ def test_as_grid_validates():
         gridio.as_grid(np.ones((2, 3, 4)), channels=1)
     with pytest.raises(ValueError):
         gridio.as_grid(np.full((1, 2, 2), np.inf))
-
-
-def test_rgb_to_gray_luma_weights():
-    rgb = np.zeros((3, 2, 2), dtype=np.float32)
-    rgb[0, 0, 0] = 1.0  # pure red
-    rgb[1, 0, 1] = 1.0  # pure green
-    rgb[2, 1, 0] = 1.0  # pure blue
-    gray = gridio.rgb_to_gray(rgb)
-    assert gray.shape == (1, 2, 2)
-    np.testing.assert_allclose(gray[0], [[0.299, 0.587], [0.114, 0.0]],
-                               rtol=1e-6)
-    with pytest.raises(ValueError):
-        gridio.rgb_to_gray(np.zeros((2, 2, 2)))

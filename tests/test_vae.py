@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from oodflow import gridio, vae
+from oodflow import gridio, trainer, vae
 from oodflow.vae import LatentPosterior, VaeArchitecture
 
 from naive_ref import naive_decode, naive_encode
@@ -15,8 +15,8 @@ def _zero_weights(arch, max_flow=8.0):
 
 def _rand_flow(arch, seed=0):
     rng = np.random.default_rng(seed)
-    return rng.uniform(-1, 1, size=(arch.input_channels, arch.input_size,
-                                    arch.input_size)).astype(np.float32)
+    return rng.uniform(-1, 1, size=(2, arch.input_size, arch.input_size)
+                       ).astype(np.float32)
 
 
 # ---------------------------------------------------------------------------
@@ -82,17 +82,20 @@ def test_encode_matches_reference_forward(tiny_arch):
 
 def test_decode_zero_weights_zero_output(tiny_arch):
     w = _zero_weights(tiny_arch)
-    out = vae.decode(w, np.ones(tiny_arch.latent_dim))
-    assert out.shape == (2, 16, 16)
+    out = vae.decoder(w.tensors, tiny_arch, np.ones((1, tiny_arch.latent_dim)))
+    assert out.shape == (1, 2, 16, 16)
     assert not out.any()
 
 
 def test_decode_matches_reference_forward(tiny_arch):
+    """Each row of a float64 latent batch decodes as the reference does alone."""
     w = vae.init_weights(tiny_arch, 43)
-    z = np.random.default_rng(3).normal(size=tiny_arch.latent_dim)
-    out = vae.decode(w, z)
-    ref = naive_decode(w, z)
-    np.testing.assert_allclose(out, ref, rtol=1e-4, atol=1e-5)
+    params = {k: v.astype(np.float64) for k, v in w.tensors.items()}
+    z = np.random.default_rng(3).normal(size=(3, tiny_arch.latent_dim))
+    out = vae.decoder(params, tiny_arch, z)
+    for i in range(3):
+        np.testing.assert_allclose(out[i], naive_decode(w, z[i]),
+                                   rtol=1e-9, atol=1e-12)
 
 
 def test_float64_network_matches_reference_forward(tiny_arch):
@@ -100,7 +103,7 @@ def test_float64_network_matches_reference_forward(tiny_arch):
     w = vae.init_weights(tiny_arch, 44)
     params = {k: v.astype(np.float64) for k, v in w.tensors.items()}
     x = _rand_flow(tiny_arch, seed=8)
-    mu, logvar, acts = vae.encoder(params, tiny_arch, x.astype(np.float64)[None])
+    mu, logvar, acts = vae.encoder(params, x.astype(np.float64)[None])
     ref_mu, ref_logvar, ref_acts = naive_encode(w, x)
     tol = dict(rtol=1e-9, atol=1e-12)
     np.testing.assert_allclose(mu[0], ref_mu, **tol)
@@ -122,22 +125,19 @@ def test_encode_rejects_wrong_shape(tiny_arch):
 
 
 # ---------------------------------------------------------------------------
-# reparameterize
+# reparameterization, as training draws it
 # ---------------------------------------------------------------------------
 
-def test_reparameterize_examples():
-    post = LatentPosterior(mu=np.array([1.0, -2.0]), logvar=np.zeros(2))
-    np.testing.assert_allclose(vae.reparameterize(post, np.zeros(2)), [1.0, -2.0])
-    np.testing.assert_allclose(vae.reparameterize(post, np.ones(2)), [2.0, -1.0])
-    post2 = LatentPosterior(mu=np.zeros(2), logvar=np.array([2 * np.log(2.0), 0.0]))
-    z = vae.reparameterize(post2, np.array([1.0, 0.0]))
-    np.testing.assert_allclose(z, [2.0, 0.0])
-
-
-def test_reparameterize_length_mismatch():
-    post = LatentPosterior(mu=np.zeros(3), logvar=np.zeros(3))
-    with pytest.raises(ValueError):
-        vae.reparameterize(post, np.zeros(2))
+def test_reparameterize_examples(tiny_arch):
+    """The decoder's input is z = mu + exp(logvar / 2) * noise."""
+    params = {k: np.zeros(s) for k, s in tiny_arch.tensor_shapes().items()}
+    params["mu_b"][:] = [1.0, -2.0, 0.0, 0.0, 3.0, 0.5]
+    params["logvar_b"][:] = [0.0, 0.0, 2 * np.log(2.0), 0.0, 2 * np.log(0.5), 0.0]
+    noise = np.array([[0.0, 1.0, 1.0, 0.0, 2.0, -1.0]])
+    x = np.zeros((1, 2, 16, 16))
+    _, _, _, cache = trainer._forward(params, tiny_arch, x, noise, 1.0)
+    z = cache["dec_tape"][0][0]  # the dense layer's input
+    np.testing.assert_allclose(z, [[1.0, -1.0, 2.0, 0.0, 4.0, -0.5]])
 
 
 # ---------------------------------------------------------------------------
