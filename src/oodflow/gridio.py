@@ -10,6 +10,7 @@ are JSON documents listing frame files and ground-truth labels.
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 from dataclasses import dataclass
@@ -201,6 +202,8 @@ class EpisodeManifest:
                 )
         elif self.onset_frame is not None:
             raise ValueError("onset_frame is only valid on OOD manifests")
+        if self.fps is not None and not (self.fps > 0 and math.isfinite(self.fps)):
+            raise ValueError(f"fps must be finite and positive, got {self.fps}")
 
 
 def read_manifest(path) -> EpisodeManifest:

@@ -1,64 +1,50 @@
 """Convolution, dense, and resize primitives on NCHW numpy arrays.
 
 Forward and backward passes are built from a single im2col/col2im pair so
-that transposed convolution is exactly the adjoint of convolution.  All
-functions preserve the dtype of their weight arguments; col2im accumulates
-in float64 via ``np.bincount`` for deterministic summation order.
+that transposed convolution is exactly the adjoint of convolution.  Columns
+are (C*k*k, N*out_h*out_w), so each conv and each backward pass is one gemm
+over the batch, whose (C, N*H*W) output is returned as an (N, C, H, W) view.
+All functions preserve the dtype of their weight arguments; col2im sums the
+taps of each pixel into a float64 zero in ascending (i, j) order.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-_IDX_CACHE: dict[tuple, tuple] = {}
 
-
-def _indices(channels: int, height: int, width: int, k: int, stride: int, pad: int):
-    """Cached gather/scatter indices for one (shape, kernel) combination."""
-    key = (channels, height, width, k, stride, pad)
-    hit = _IDX_CACHE.get(key)
-    if hit is not None:
-        return hit
-    out_h = (height + 2 * pad - k) // stride + 1
-    out_w = (width + 2 * pad - k) // stride + 1
-    hp, wp = height + 2 * pad, width + 2 * pad
-    i0 = np.repeat(np.arange(k), k)
-    j0 = np.tile(np.arange(k), k)
-    i1 = stride * np.repeat(np.arange(out_h), out_w)
-    j1 = stride * np.tile(np.arange(out_w), out_h)
-    ii = i0[:, None] + i1[None, :]  # (k*k, L)
-    jj = j0[:, None] + j1[None, :]
-    cc = np.repeat(np.arange(channels), k * k)[:, None]  # (C*k*k, 1)
-    flat = ((cc * hp + np.tile(ii, (channels, 1))) * wp
-            + np.tile(jj, (channels, 1))).ravel()
-    result = (out_h, out_w, hp, wp, flat)
-    _IDX_CACHE[key] = result
-    return result
+def _taps(k: int, stride: int, out_h: int, out_w: int):
+    """(i, j, padded-grid slice) per kernel tap, in ascending (i, j) order."""
+    return [(i, j, np.s_[:, :, i:i + stride * out_h:stride, j:j + stride * out_w:stride])
+            for i in range(k) for j in range(k)]
 
 
 def im2col(x: np.ndarray, k: int, stride: int, pad: int) -> np.ndarray:
-    """Unfold (N, C, H, W) into (N, C*k*k, out_h*out_w) patch columns."""
+    """Unfold (N, C, H, W) into (C*k*k, N*out_h*out_w) patch columns."""
     n, c, h, w = x.shape
-    out_h, out_w, hp, wp, flat = _indices(c, h, w, k, stride, pad)
-    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-    # take (not fancy indexing) keeps the result C-contiguous for the gemm
-    return xp.reshape(n, c * hp * wp).take(flat, axis=1).reshape(
-        n, c * k * k, out_h * out_w)
+    out_h = (h + 2 * pad - k) // stride + 1
+    out_w = (w + 2 * pad - k) // stride + 1
+    xp = np.zeros((c, n, h + 2 * pad, w + 2 * pad), dtype=x.dtype)
+    xp[:, :, pad:pad + h, pad:pad + w] = x.transpose(1, 0, 2, 3)
+    cols = np.empty((c, k, k, n, out_h, out_w), dtype=x.dtype)
+    for i, j, window in _taps(k, stride, out_h, out_w):
+        cols[:, i, j] = xp[window]
+    return cols.reshape(c * k * k, n * out_h * out_w)
 
 
 def col2im(cols: np.ndarray, channels: int, height: int, width: int,
            k: int, stride: int, pad: int) -> np.ndarray:
-    """Adjoint of :func:`im2col`: scatter-add columns back to (N, C, H, W)."""
-    n = cols.shape[0]
-    _, _, hp, wp, flat = _indices(channels, height, width, k, stride, pad)
-    out = np.empty((n, channels * hp * wp), dtype=np.float64)
-    for i in range(n):
-        out[i] = np.bincount(flat, weights=cols[i].ravel().astype(np.float64),
-                             minlength=channels * hp * wp)
-    out = out.reshape(n, channels, hp, wp)
-    if pad:
-        out = out[:, :, pad:-pad, pad:-pad]
-    return np.ascontiguousarray(out, dtype=cols.dtype)
+    """Adjoint of :func:`im2col`: sum columns back into (N, C, H, W)."""
+    hp, wp = height + 2 * pad, width + 2 * pad
+    out_h = (hp - k) // stride + 1
+    out_w = (wp - k) // stride + 1
+    n = cols.shape[1] // (out_h * out_w)
+    taps = cols.reshape(channels, k, k, n, out_h, out_w)
+    out = np.zeros((channels, n, hp, wp), dtype=np.float64)
+    for i, j, window in _taps(k, stride, out_h, out_w):
+        out[window] += taps[:, i, j]
+    out = out[:, :, pad:pad + height, pad:pad + width].astype(cols.dtype, copy=False)
+    return out.transpose(1, 0, 2, 3)
 
 
 def conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray, stride: int,
@@ -72,8 +58,8 @@ def conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray, stride: int,
     cols = im2col(x, k, stride, pad)
     out_h = (h + 2 * pad - k) // stride + 1
     out_w = (width + 2 * pad - k) // stride + 1
-    y = np.matmul(w.reshape(oc, -1), cols) + b[:, None]
-    return y.reshape(n, oc, out_h, out_w), cols
+    y = w.reshape(oc, -1) @ cols + b[:, None]
+    return y.reshape(oc, n, out_h, out_w).transpose(1, 0, 2, 3), cols
 
 
 def conv2d_backward(dy: np.ndarray, cols: np.ndarray, w: np.ndarray,
@@ -81,17 +67,12 @@ def conv2d_backward(dy: np.ndarray, cols: np.ndarray, w: np.ndarray,
     """Gradients of conv2d w.r.t. input, weight, and bias."""
     n, c, h, width = x_shape
     oc, _, k, _ = w.shape
-    length = dy.shape[2] * dy.shape[3]
-    dyf = dy.reshape(n, oc, length)
-    db = dyf.sum(axis=(0, 2))
-    # collapse the batch into single gemms; the moveaxis copies are cheap
-    dy_flat = np.ascontiguousarray(np.moveaxis(dyf, 1, 0)).reshape(oc, n * length)
-    cols_flat = np.ascontiguousarray(np.moveaxis(cols, 1, 0)).reshape(
-        cols.shape[1], n * length)
-    dw = (dy_flat @ cols_flat.T).reshape(w.shape)
-    dcols = np.moveaxis(
-        (w.reshape(oc, -1).T @ dy_flat).reshape(cols.shape[1], n, length), 1, 0)
-    dx = col2im(np.ascontiguousarray(dcols), c, h, width, k, stride, pad)
+    # numpy sums in an order set by the memory layout: a C-contiguous copy
+    # keeps the bias gradient independent of the layout dy arrives in
+    db = np.ascontiguousarray(dy).reshape(n, oc, -1).sum(axis=(0, 2))
+    dy_flat = dy.transpose(1, 0, 2, 3).reshape(oc, -1)
+    dw = (dy_flat @ cols.T).reshape(w.shape)
+    dx = col2im(w.reshape(oc, -1).T @ dy_flat, c, h, width, k, stride, pad)
     return dx, dw, db
 
 
@@ -101,11 +82,11 @@ def conv_transpose2d(x: np.ndarray, w: np.ndarray, b: np.ndarray,
 
     Output spatial size is (in - 1)*stride - 2*pad + k per dimension.
     """
-    n, ic, ih, iw = x.shape
+    ic, ih, iw = x.shape[1:]
     _, oc, k, _ = w.shape
     oh = (ih - 1) * stride - 2 * pad + k
     ow = (iw - 1) * stride - 2 * pad + k
-    cols = np.matmul(w.reshape(ic, -1).T, x.reshape(n, ic, ih * iw))
+    cols = w.reshape(ic, -1).T @ x.transpose(1, 0, 2, 3).reshape(ic, -1)
     y = col2im(cols, oc, oh, ow, k, stride, pad)
     return y + b[None, :, None, None]
 
@@ -114,16 +95,11 @@ def conv_transpose2d_backward(dy: np.ndarray, x: np.ndarray, w: np.ndarray,
                               stride: int, pad: int):
     """Gradients of conv_transpose2d w.r.t. input, weight, and bias."""
     n, ic, ih, iw = x.shape
-    _, oc, k, _ = w.shape
-    length = ih * iw
-    gcols = im2col(dy, k, stride, pad)  # (N, OC*k*k, ih*iw)
-    dx = np.matmul(w.reshape(ic, -1), gcols).reshape(x.shape)
-    x_flat = np.ascontiguousarray(np.moveaxis(x.reshape(n, ic, length), 1, 0)
-                                  ).reshape(ic, n * length)
-    g_flat = np.ascontiguousarray(np.moveaxis(gcols, 1, 0)).reshape(
-        gcols.shape[1], n * length)
-    dw = (x_flat @ g_flat.T).reshape(w.shape)
-    db = dy.sum(axis=(0, 2, 3))
+    k = w.shape[2]
+    gcols = im2col(dy, k, stride, pad)  # (OC*k*k, N*ih*iw)
+    dx = (w.reshape(ic, -1) @ gcols).reshape(ic, n, ih, iw).transpose(1, 0, 2, 3)
+    dw = (x.transpose(1, 0, 2, 3).reshape(ic, -1) @ gcols.T).reshape(w.shape)
+    db = np.ascontiguousarray(dy).sum(axis=(0, 2, 3))  # see conv2d_backward
     return dx, dw, db
 
 

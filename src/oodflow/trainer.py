@@ -163,13 +163,22 @@ def train(dataset, config: TrainConfig, arch: VaeArchitecture | None = None,
             step += 1
             b1c = 1.0 - ADAM_BETA1 ** step
             b2c = 1.0 - ADAM_BETA2 ** step
-            for name in params:
-                g = grads[name]
-                m_state[name] = ADAM_BETA1 * m_state[name] + (1 - ADAM_BETA1) * g
-                v_state[name] = ADAM_BETA2 * v_state[name] + (1 - ADAM_BETA2) * g * g
-                mhat = m_state[name] / b1c
-                vhat = v_state[name] / b2c
-                params[name] -= config.learning_rate * mhat / (np.sqrt(vhat) + ADAM_EPSILON)
+            for name, p in params.items():
+                # m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g*g and
+                # p -= lr * (m/b1c) / (sqrt(v/b2c) + eps), in place, in this order
+                g, m, v = grads[name], m_state[name], v_state[name]
+                t1, t2 = (1 - ADAM_BETA1) * g, (1 - ADAM_BETA2) * g
+                m *= ADAM_BETA1
+                m += t1
+                t2 *= g
+                v *= ADAM_BETA2
+                v += t2
+                np.divide(m, b1c, out=t1)
+                t1 *= config.learning_rate
+                np.sqrt(np.divide(v, b2c, out=t2), out=t2)
+                t2 += ADAM_EPSILON
+                t1 /= t2
+                p -= t1
         log.append(EpochStats(epoch=epoch, mean_total=tot_sum / n,
                               mean_recon=rec_sum / n, mean_kl=kl_sum / n))
 

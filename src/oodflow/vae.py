@@ -12,6 +12,8 @@ out-of-distribution motion.
 
 from __future__ import annotations
 
+import math
+import os
 import struct
 from dataclasses import dataclass, field
 
@@ -194,6 +196,8 @@ def encoder(tensors: dict[str, np.ndarray], x: np.ndarray,
             tape.append((h.shape, cols, y))
         h = nnops.relu(y)
         del y, cols  # without a tape, free them before the next im2col
+    # C-contiguous, so that sums over the volume keep a fixed order
+    h = np.ascontiguousarray(h)
     flat = h.reshape(h.shape[0], -1)
     mu = nnops.linear(flat, tensors["mu_w"], tensors["mu_b"])
     logvar = nnops.linear(flat, tensors["logvar_w"], tensors["logvar_b"])
@@ -202,7 +206,7 @@ def encoder(tensors: dict[str, np.ndarray], x: np.ndarray,
 
 def decoder(tensors: dict[str, np.ndarray], arch: VaeArchitecture,
             z: np.ndarray, tape: list | None = None) -> np.ndarray:
-    """The decoder network on (N, m) latents; returns (N, C, S, S).
+    """The decoder network on (N, m) latents; returns a C-contiguous (N, C, S, S).
 
     With a ``tape``, the dense layer and then each transposed conv append
     (input, pre-activation) for the backward pass.
@@ -218,7 +222,7 @@ def decoder(tensors: dict[str, np.ndarray], arch: VaeArchitecture,
         if tape is not None:
             tape.append((h, y))
         h = nnops.relu(y) if i < 3 else y
-    return h
+    return np.ascontiguousarray(h)
 
 
 def encode_batch(weights: VaeWeights, flows: np.ndarray):
@@ -329,11 +333,14 @@ def load_weights(path, expected: VaeArchitecture | None = None) -> VaeWeights:
     """
     from .gridio import FormatError
 
+    # checked against the bytes left before reading, so a corrupt header
+    # cannot make the loader allocate more than the file holds
     def take(fh, n: int, what: str) -> bytes:
-        buf = fh.read(n)
-        if len(buf) != n:
-            raise EOFError(f"truncated weights file while reading {what}")
-        return buf
+        left = os.fstat(fh.fileno()).st_size - fh.tell()
+        if n > left:
+            raise EOFError(f"truncated weights file: {what} needs {n} bytes, "
+                           f"{left} left")
+        return fh.read(n)
 
     with open(path, "rb") as fh:
         magic = take(fh, 4, "magic")
@@ -354,11 +361,12 @@ def load_weights(path, expected: VaeArchitecture | None = None) -> VaeWeights:
             raise FormatError(
                 f"weights architecture {arch} does not match expected {expected}"
             )
-        tensors: dict[str, np.ndarray] = {}
-        for name, shape in arch.tensor_shapes().items():
-            count = int(np.prod(shape))
-            raw = take(fh, 4 * count, f"tensor {name}")
-            tensors[name] = np.frombuffer(raw, dtype="<f4").reshape(shape).astype(np.float32)
+        shapes = arch.tensor_shapes()
+        sizes = [math.prod(shape) for shape in shapes.values()]
+        flat = np.frombuffer(take(fh, 4 * sum(sizes), "the tensors"), dtype="<f4")
+        parts = np.split(flat.astype(np.float32), np.cumsum(sizes)[:-1])
+        tensors = {name: part.reshape(shape)
+                   for (name, shape), part in zip(shapes.items(), parts)}
         trailing = fh.read(1)
         if trailing:
             raise FormatError("trailing bytes after final tensor")

@@ -71,6 +71,29 @@ def naive_conv_transpose2d(x, w, b, stride, pad):
     return out + np.asarray(b, dtype=np.float64)[None, :, None, None]
 
 
+def naive_col2im(cols, channels, height, width, k, stride, pad):
+    """Reference col2im on (C*k*k, N*out_h*out_w) columns; returns (N, C, H, W).
+
+    Walks each sample, channel and tap (i, j) in ascending order and adds
+    every column entry into a float64 zero grid, one pixel at a time.
+    """
+    hp, wp = height + 2 * pad, width + 2 * pad
+    oh = (hp - k) // stride + 1
+    ow = (wp - k) // stride + 1
+    n = cols.shape[1] // (oh * ow)
+    out = np.zeros((n, channels, hp, wp))
+    for ni in range(n):
+        for c in range(channels):
+            for i in range(k):
+                for j in range(k):
+                    row = (c * k + i) * k + j
+                    for yy in range(oh):
+                        for xx in range(ow):
+                            out[ni, c, i + stride * yy, j + stride * xx] += \
+                                cols[row, (ni * oh + yy) * ow + xx]
+    return out[:, :, pad:pad + height, pad:pad + width].astype(cols.dtype)
+
+
 def naive_encode(weights, flow):
     """Reference encoder: returns (mu, logvar, last_conv_activations)."""
     arch = weights.arch

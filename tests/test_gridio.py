@@ -169,6 +169,9 @@ def test_read_manifest_ood_with_onset(tmp_path):
     {"id": "x", "frames": ["a", "b"]},               # missing label
     _manifest_doc(label="ood", onset_frame=True),    # JSON booleans
     _manifest_doc(fps=False),
+    _manifest_doc(fps=-1),
+    _manifest_doc(fps=0),
+    _manifest_doc(fps=float("nan")),
 ])
 def test_read_manifest_rejects_invalid(tmp_path, doc):
     with pytest.raises(ValueError):

@@ -3,7 +3,7 @@ import pytest
 
 from oodflow import nnops
 
-from naive_ref import naive_conv2d, naive_conv_transpose2d
+from naive_ref import naive_col2im, naive_conv2d, naive_conv_transpose2d
 
 
 def _rand(shape, seed, dtype=np.float64):
@@ -40,6 +40,44 @@ def test_im2col_col2im_adjoint():
     lhs = np.sum(cols * c)
     rhs = np.sum(x * nnops.col2im(c, 3, 8, 8, 4, 2, 1))
     assert abs(lhs - rhs) < 1e-10
+
+
+# (in channels, out channels, input size) of each layer of the default
+# 64 px network
+ENCODER_LAYERS = [(2, 32, 64), (32, 64, 32), (64, 128, 16), (128, 256, 8)]
+DECODER_LAYERS = [(256, 128, 4), (128, 64, 8), (64, 32, 16), (32, 2, 32)]
+
+
+@pytest.mark.parametrize("ic,size", [(ic, size) for ic, _, size in ENCODER_LAYERS])
+def test_col2im_sums_taps_in_fixed_order(ic, size):
+    # the input gradient of each encoder layer at N=3, bit for bit against
+    # per-pixel adds in ascending (i, j) order
+    out = size // 2
+    cols = _rand((ic * 16, 3 * out * out), 11)
+    got = nnops.col2im(cols, ic, size, size, 4, 2, 1)
+    assert got.shape == (3, ic, size, size)
+    assert np.array_equal(got, naive_col2im(cols, ic, size, size, 4, 2, 1))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("layer", range(4))
+def test_conv_outputs_batch_invariant(layer, dtype):
+    # each sample of an N=5 batch comes out exactly as it does alone
+    ic, oc, size = ENCODER_LAYERS[layer]
+    x = _rand((5, ic, size, size), 12, dtype)
+    w = _rand((oc, ic, 4, 4), 13, dtype)
+    b = _rand((oc,), 14, dtype)
+    y, _ = nnops.conv2d(x, w, b, 2, 1)
+    for i in range(5):
+        assert np.array_equal(y[i:i + 1], nnops.conv2d(x[i:i + 1], w, b, 2, 1)[0])
+    ic, oc, size = DECODER_LAYERS[layer]
+    x = _rand((5, ic, size, size), 15, dtype)
+    w = _rand((ic, oc, 4, 4), 16, dtype)
+    b = _rand((oc,), 17, dtype)
+    y = nnops.conv_transpose2d(x, w, b, 2, 1)
+    assert y.dtype == dtype
+    for i in range(5):
+        assert np.array_equal(y[i:i + 1], nnops.conv_transpose2d(x[i:i + 1], w, b, 2, 1))
 
 
 def test_conv2d_backward_adjoint_and_fd():

@@ -1,3 +1,6 @@
+import struct
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -50,6 +53,17 @@ def test_architecture_downsampling_chain():
 # ---------------------------------------------------------------------------
 # encode / decode
 # ---------------------------------------------------------------------------
+
+def test_encode_batch_volume_batch_invariant():
+    # the last-conv volume of each flow in a batch equals its volume alone
+    arch = VaeArchitecture()
+    w = vae.init_weights(arch, 3)
+    flows = np.stack([_rand_flow(arch, seed) for seed in range(5)])
+    _, _, acts = vae.encode_batch(w, flows)
+    assert acts.flags.c_contiguous
+    for i in range(5):
+        assert np.array_equal(acts[i:i + 1], vae.encode_batch(w, flows[i:i + 1])[2])
+
 
 def test_encode_zero_weights_passes_biases(tiny_arch):
     w = _zero_weights(tiny_arch)
@@ -260,6 +274,23 @@ def test_load_weights_truncated(tmp_path, tiny_arch):
     p.write_bytes(data[:len(data) // 2])
     with pytest.raises(EOFError):
         vae.load_weights(p)
+
+
+@pytest.mark.parametrize("header", [
+    struct.pack("<IIIfI", 1, 64, 24, 8.0, 2 ** 22),  # 16 MB of widths
+    struct.pack("<IIIfI4I", 1, 16 * 4096, 24, 8.0, 4, 32, 64, 128, 256),  # 1.25 TB of tensors
+], ids=["widths", "tensors"])
+def test_load_weights_checks_header_sizes_before_reading(tmp_path, header):
+    p = tmp_path / "w.bin"
+    p.write_bytes(vae.WEIGHTS_MAGIC + header)
+    tracemalloc.start()
+    try:
+        with pytest.raises(EOFError):
+            vae.load_weights(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_load_weights_bad_magic_and_trailing(tmp_path, tiny_arch):
