@@ -18,7 +18,7 @@ os.makedirs(OUT_DIR, exist_ok=True)
 scene = synthdata.SceneConfig(size=64, episode_length=60, seed=12)
 id_episode = synthdata.gen_id_episode(scene)
 print(f"ID episode: {len(id_episode.frames)} frames, "
-      f"base velocity {scene.base_velocity} px/frame + jitter")
+      f"base velocity {synthdata.BASE_VELOCITY} px/frame + jitter")
 
 for kind, spec in [
     ("velocity_reversal", synthdata.AnomalySpec("velocity_reversal", 30, 1.0)),

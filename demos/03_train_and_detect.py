@@ -20,7 +20,6 @@ OUT_DIR = os.path.join(os.path.dirname(__file__), "demo_out")
 os.makedirs(OUT_DIR, exist_ok=True)
 
 SIZE = 32
-flow_params = opticflow.FlowParams()
 arch = vae.VaeArchitecture(input_size=SIZE)
 
 print("building the training set (flows from 4 ID episodes)...")
@@ -28,7 +27,7 @@ flows = []
 for i in range(4):
     ep = synthdata.gen_id_episode(synthdata.SceneConfig(size=SIZE, seed=300 + i))
     for a, b in zip(ep.frames, ep.frames[1:]):
-        flows.append(vae.preprocess(opticflow.lucas_kanade(a, b, flow_params), arch))
+        flows.append(vae.preprocess(opticflow.lucas_kanade(a, b), arch))
 train_part, cal_part = trainer.split_calibration(flows, 0.2, seed=1)
 
 print(f"training on {len(train_part)} flows, holding out {len(cal_part)}...")
@@ -45,7 +44,7 @@ episode = synthdata.gen_ood_episode(
     synthdata.SceneConfig(size=SIZE, seed=555), spec)
 cfg = conformal.DetectorConfig(window=10, log_threshold=3.0, consecutive=10)
 events, curve = conformal.detect_episode(
-    episode.frames, weights, cal, cfg, flow_params, episode_id="demo-ood")
+    episode.frames, weights, cal, cfg, episode_id="demo-ood")
 
 print(f"\nstreaming a velocity-reversal episode (true onset frame {spec.onset}):")
 print(" frame   alpha       p     log M   exceed")

@@ -19,7 +19,6 @@ OUT_DIR = os.path.join(os.path.dirname(__file__), "demo_out")
 os.makedirs(OUT_DIR, exist_ok=True)
 
 SIZE = 64
-flow_params = opticflow.FlowParams()
 arch = vae.VaeArchitecture(input_size=SIZE)
 
 print("training (6 ID episodes, 12 epochs)...")
@@ -27,7 +26,7 @@ flows = []
 for i in range(6):
     ep = synthdata.gen_id_episode(synthdata.SceneConfig(size=SIZE, seed=400 + i))
     for a, b in zip(ep.frames, ep.frames[1:]):
-        flows.append(vae.preprocess(opticflow.lucas_kanade(a, b, flow_params), arch))
+        flows.append(vae.preprocess(opticflow.lucas_kanade(a, b), arch))
 train_part, cal_part = trainer.split_calibration(flows, 0.2, seed=2)
 weights, _ = trainer.train(train_part, trainer.TrainConfig(epochs=12, seed=2), arch)
 cal = trainer.build_calibration(weights, cal_part)
@@ -36,7 +35,7 @@ stats = localization.activation_stats(weights, cal_part)
 spec = synthdata.AnomalySpec("intruder_cut", onset=25, magnitude=1.5, region="ne")
 episode = synthdata.gen_ood_episode(synthdata.SceneConfig(size=SIZE, seed=888), spec)
 cfg = conformal.DetectorConfig()
-events, _ = conformal.detect_episode(episode.frames, weights, cal, cfg, flow_params)
+events, _ = conformal.detect_episode(episode.frames, weights, cal, cfg)
 if not events:
     raise SystemExit("no detection; try more training epochs")
 frame_idx = events[0].onset_frame + 3
@@ -44,7 +43,7 @@ print(f"intruder enters quadrant {spec.region!r} at frame {spec.onset}; "
       f"detector run starts at frame {events[0].onset_frame}")
 
 flow = opticflow.lucas_kanade(episode.frames[frame_idx - 1],
-                              episode.frames[frame_idx], flow_params)
+                              episode.frames[frame_idx])
 out = vae.encode(weights, vae.preprocess(flow, arch, weights.max_flow))
 overlay_map = localization.overlay(out.last_conv_activations, stats, SIZE)
 composite = localization.render(episode.frames[frame_idx], overlay_map,

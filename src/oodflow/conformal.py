@@ -68,6 +68,9 @@ class DetectorConfig:
     def __post_init__(self):
         if self.window < 1:
             raise ValueError("window must be >= 1")
+        # NaN would never alarm, and neither value can be written as JSON
+        if not np.isfinite(self.log_threshold):
+            raise ValueError(f"log_threshold must be finite, got {self.log_threshold}")
         if self.consecutive < 1:
             raise ValueError("consecutive must be >= 1")
 
@@ -206,15 +209,13 @@ def events_from_curve(log_ms, cfg: DetectorConfig, episode_id: str = "",
 
 
 def detect_episode(frames, weights, cal: CalibrationSet, cfg: DetectorConfig,
-                   flow_params=None, episode_id: str = ""):
+                   episode_id: str = ""):
     """Run the full pipeline over an ordered frame sequence.
 
     For each consecutive frame pair: optic flow, preprocessing, encoding,
     KL scoring, detector step.  Decisions are indexed by the later frame of
     each pair (the first curve point is frame 1).  Returns (events, curve).
     """
-    if flow_params is None:
-        flow_params = opticflow.FlowParams()
     frames = list(frames)
     if len(frames) < 2:
         raise ValueError("an episode needs at least 2 frames")
@@ -222,7 +223,7 @@ def detect_episode(frames, weights, cal: CalibrationSet, cfg: DetectorConfig,
     events: list[DetectionEvent] = []
     curve: list[CurvePoint] = []
     for t in range(1, len(frames)):
-        flow = opticflow.lucas_kanade(frames[t - 1], frames[t], flow_params)
+        flow = opticflow.lucas_kanade(frames[t - 1], frames[t])
         _, alpha = vae.score_flow(weights, flow)
         frame_label = state.frame_index
         state, event = step(state, alpha, cal, cfg, episode_id)

@@ -55,7 +55,6 @@ class EpisodeRecord:
     gt_onset: int | None
     events: list[conformal.DetectionEvent] = field(default_factory=list)
     curve: list[conformal.CurvePoint] = field(default_factory=list)
-    peak_log_m: float = float("-inf")
     error: str | None = None
 
     @property
@@ -117,19 +116,15 @@ def corpus_flow_dataset(manifests, flow_params: opticflow.FlowParams,
 # Evaluation and threshold search
 # ---------------------------------------------------------------------------
 
-def _run_episodes(manifests, weights, cal, cfg, flow_params) -> list[EpisodeRecord]:
+def _run_episodes(manifests, weights, cal, cfg) -> list[EpisodeRecord]:
     records: list[EpisodeRecord] = []
     for manifest in manifests:
         record = EpisodeRecord(episode_id=manifest.id, label=manifest.label,
                                gt_onset=manifest.onset_frame)
         try:
             frames = load_frames(manifest)
-            events, curve = conformal.detect_episode(
-                frames, weights, cal, cfg, flow_params, episode_id=manifest.id)
-            record.events = events
-            record.curve = curve
-            if curve:
-                record.peak_log_m = max(pt.log_m for pt in curve)
+            record.events, record.curve = conformal.detect_episode(
+                frames, weights, cal, cfg, episode_id=manifest.id)
         except (OSError, EOFError, gridio.FormatError, ValueError) as exc:
             warnings.warn(f"skipping unreadable episode {manifest.id}: {exc}")
             record.error = str(exc)
@@ -150,18 +145,15 @@ def metrics_from_records(records: list[EpisodeRecord]) -> Metrics:
     return Metrics.from_counts(tp, fp, tn, fn)
 
 
-def evaluate(manifests, weights, cal: CalibrationSet, cfg: conformal.DetectorConfig,
-             flow_params: opticflow.FlowParams | None = None):
+def evaluate(manifests, weights, cal: CalibrationSet, cfg: conformal.DetectorConfig):
     """Episode-level confusion metrics over a labeled corpus.
 
     Returns (Metrics, per-episode records).  Unreadable episodes are skipped
     with a warning and carry their error in the record.
     """
-    if flow_params is None:
-        flow_params = opticflow.FlowParams()
     if not manifests:
         raise ValueError("corpus must be nonempty")
-    records = _run_episodes(manifests, weights, cal, cfg, flow_params)
+    records = _run_episodes(manifests, weights, cal, cfg)
     return metrics_from_records(records), records
 
 
@@ -169,37 +161,33 @@ def rescore_records(records: list[EpisodeRecord], cfg: conformal.DetectorConfig)
     """Re-run the exceedance rule on cached traces for a new threshold."""
     rescored: list[EpisodeRecord] = []
     for r in records:
-        nr = EpisodeRecord(episode_id=r.episode_id, label=r.label,
-                           gt_onset=r.gt_onset, curve=r.curve,
-                           peak_log_m=r.peak_log_m, error=r.error)
-        if r.error is None and r.curve:
-            start = r.curve[0].frame
-            nr.events = conformal.events_from_curve(
+        events = []
+        if r.curve:  # a skipped episode has no trace
+            events = conformal.events_from_curve(
                 [pt.log_m for pt in r.curve], cfg, episode_id=r.episode_id,
-                start_frame=start)
-        rescored.append(nr)
+                start_frame=r.curve[0].frame)
+        rescored.append(replace(r, events=events))
     return rescored
 
 
 def grid_search(manifests, weights, cal: CalibrationSet, thresholds,
-                cfg: conformal.DetectorConfig,
-                flow_params: opticflow.FlowParams | None = None):
+                cfg: conformal.DetectorConfig):
     """Evaluate each threshold on shared traces; pick the best by F1.
 
     Ties prefer lower FPR, then lower threshold.  Returns
     (best_threshold, [(threshold, Metrics), ...], records_at_best).
     """
-    thresholds = list(thresholds)
-    if not thresholds:
+    # built first, so that an invalid threshold fails before any episode runs
+    configs = [replace(cfg, log_threshold=tau) for tau in thresholds]
+    if not configs:
         raise ValueError("thresholds must be nonempty")
-    if flow_params is None:
-        flow_params = opticflow.FlowParams()
-    base_records = _run_episodes(manifests, weights, cal, cfg, flow_params)
+    base_records = _run_episodes(manifests, weights, cal, cfg)
     table: list[tuple[float, Metrics]] = []
     best = None
     best_records = None
-    for tau in thresholds:
-        records = rescore_records(base_records, replace(cfg, log_threshold=tau))
+    for tau_cfg in configs:
+        tau = tau_cfg.log_threshold
+        records = rescore_records(base_records, tau_cfg)
         metrics = metrics_from_records(records)
         table.append((tau, metrics))
         key = (metrics.f1, -metrics.fpr, -tau)
@@ -215,7 +203,6 @@ def grid_search(manifests, weights, cal: CalibrationSet, thresholds,
 
 def measure_latency(frames, weights, cal: CalibrationSet,
                     cfg: conformal.DetectorConfig,
-                    flow_params: opticflow.FlowParams | None = None,
                     warmup: int = 3, reps: int = 50) -> LatencyReport:
     """Wall-clock time of per-frame detection decisions.
 
@@ -229,8 +216,6 @@ def measure_latency(frames, weights, cal: CalibrationSet,
         raise ValueError("warmup must be >= 1")
     if reps < 10:
         raise ValueError("reps must be >= 10")
-    if flow_params is None:
-        flow_params = opticflow.FlowParams()
     frames = list(frames)
     if len(frames) < 2:
         raise ValueError("need at least 2 frames")
@@ -241,7 +226,7 @@ def measure_latency(frames, weights, cal: CalibrationSet,
     for i in range(warmup + reps):
         a, b = pairs[i % len(pairs)]
         t0 = time.perf_counter()
-        flow = opticflow.lucas_kanade(a, b, flow_params)
+        flow = opticflow.lucas_kanade(a, b)
         t1 = time.perf_counter()
         _, alpha = vae.score_flow(weights, flow)
         t2 = time.perf_counter()
@@ -281,20 +266,47 @@ def save_calibration(path, cal: CalibrationSet,
         fh.write("\n")
 
 
+def _is_int(x) -> bool:
+    # bool is a subclass of int, but a JSON true/false is not a count
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _numbers(doc: dict, key: str) -> np.ndarray:
+    values = doc[key]
+    if not isinstance(values, list) or not all(
+            _is_int(v) or isinstance(v, float) for v in values):
+        raise ValueError(f"calibration field {key!r} must be a list of numbers")
+    return np.asarray(values, dtype=np.float64)
+
+
 def load_calibration(path):
-    """Read back (CalibrationSet, ActivationStats) written by save_calibration."""
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+    """Read back (CalibrationSet, ActivationStats) written by save_calibration.
+
+    Raises FormatError when the file is not JSON and ValueError when a field
+    is missing or has the wrong type or shape.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except json.JSONDecodeError as exc:
+        raise gridio.FormatError(f"calibration file is not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ValueError("calibration file must be a JSON object")
     for key in ("scores", "activation_shape", "activation_mean", "activation_std", "count"):
         if key not in doc:
             raise ValueError(f"calibration file missing field {key!r}")
-    shape = tuple(doc["activation_shape"])
+    shape = doc["activation_shape"]
+    if not isinstance(shape, list) or not all(_is_int(d) and d >= 1 for d in shape):
+        raise ValueError("calibration field 'activation_shape' must be a list of "
+                         "positive integers")
+    if not _is_int(doc["count"]):
+        raise ValueError("calibration field 'count' must be an integer")
     stats = localization.ActivationStats(
-        mean=np.asarray(doc["activation_mean"], dtype=np.float64).reshape(shape),
-        std=np.asarray(doc["activation_std"], dtype=np.float64).reshape(shape),
-        count=int(doc["count"]),
+        mean=_numbers(doc, "activation_mean").reshape(shape),
+        std=_numbers(doc, "activation_std").reshape(shape),
+        count=doc["count"],
     )
-    return CalibrationSet(scores=np.asarray(doc["scores"], dtype=np.float64)), stats
+    return CalibrationSet(scores=_numbers(doc, "scores")), stats
 
 
 def write_metrics_json(path, metrics: Metrics, threshold: float) -> None:

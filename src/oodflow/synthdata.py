@@ -1,11 +1,12 @@
 """Seeded synthetic motion episodes with ground-truth anomaly onsets.
 
-A smooth periodic texture is advected across a toroidal frame at a base
-velocity with per-frame jitter; anomalies modify the motion from a chosen
-onset frame on.  Three anomaly archetypes are supported:
+A smooth periodic texture is advected along +x across a toroidal frame at
+BASE_VELOCITY with per-frame jitter, as a forward-moving camera sees the
+road; anomalies modify the motion from a chosen onset frame on.  Three
+anomaly archetypes are supported:
 
-  intruder_cut       a textured square enters one quadrant moving against
-                     the background flow
+  intruder_cut       a textured square enters the ne or se quadrant from the
+                     east edge, moving against the background flow
   velocity_reversal  the global velocity is negated (and scaled)
   speed_spike        the global speed is multiplied by (1 + magnitude)
 
@@ -16,7 +17,7 @@ corpora are byte-reproducible.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -24,15 +25,16 @@ import numpy as np
 from .gridio import EpisodeManifest, write_manifest, write_pgm
 
 ANOMALY_KINDS = ("intruder_cut", "velocity_reversal", "speed_spike")
-QUADRANTS = ("ne", "nw", "se", "sw")
+BASE_VELOCITY = (1.0, 0.0)  # px/frame, (x, y)
+TEXTURE_WAVES = 12
+# an intruder moving against the +x flow enters from the east edge
+INTRUDER_QUADRANTS = ("ne", "se")
 
 
 @dataclass(frozen=True)
 class SceneConfig:
     size: int = 64
     episode_length: int = 60
-    texture_waves: int = 12
-    base_velocity: tuple[float, float] = (1.0, 0.0)
     velocity_jitter: float = 0.05
     seed: int = 0
 
@@ -41,8 +43,6 @@ class SceneConfig:
             raise ValueError("episode_length must be >= 2")
         if self.size < 16:
             raise ValueError("size must be >= 16")
-        if self.texture_waves < 0:
-            raise ValueError("texture_waves must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -58,8 +58,9 @@ class AnomalySpec:
         if self.magnitude <= 0:
             raise ValueError("magnitude must be positive")
         if self.kind == "intruder_cut":
-            if self.region not in QUADRANTS:
-                raise ValueError(f"intruder_cut requires a quadrant, got {self.region!r}")
+            if self.region not in INTRUDER_QUADRANTS:
+                raise ValueError(f"intruder_cut requires a quadrant in "
+                                 f"{INTRUDER_QUADRANTS}, got {self.region!r}")
         elif self.region is not None:
             raise ValueError(f"region is only valid for intruder_cut")
 
@@ -99,7 +100,7 @@ def _texture(size: int, waves: int, rng: np.random.Generator) -> np.ndarray:
 
 def gen_texture(cfg: SceneConfig) -> np.ndarray:
     """Seeded smooth texture; the first draw of every episode generator."""
-    return _texture(cfg.size, cfg.texture_waves, np.random.default_rng(cfg.seed))
+    return _texture(cfg.size, TEXTURE_WAVES, np.random.default_rng(cfg.seed))
 
 
 def _sample_wrapped(tex: np.ndarray, dx: float, dy: float) -> np.ndarray:
@@ -134,68 +135,34 @@ def _step_velocities(cfg: SceneConfig, rng: np.random.Generator) -> np.ndarray:
     """Per-step jittered velocities; one draw block shared by ID/OOD twins."""
     steps = cfg.episode_length - 1
     jitter = rng.standard_normal((steps, 2)) * cfg.velocity_jitter
-    return np.asarray(cfg.base_velocity, dtype=np.float64)[None, :] + jitter
+    return np.asarray(BASE_VELOCITY, dtype=np.float64)[None, :] + jitter
 
 
 def gen_id_episode(cfg: SceneConfig, episode_id: str = "id") -> Episode:
     """Texture advected at the base velocity plus jitter; label ID."""
     rng = np.random.default_rng(cfg.seed)
-    tex = _texture(cfg.size, cfg.texture_waves, rng)
+    tex = _texture(cfg.size, TEXTURE_WAVES, rng)
     vel = _step_velocities(cfg, rng)
     return Episode(id=episode_id, frames=_advect(tex, vel), label="id")
 
 
-def _validate_spec(cfg: SceneConfig, spec: AnomalySpec) -> None:
-    if not 0 < spec.onset < cfg.episode_length - 5:
-        raise ValueError(
-            f"onset {spec.onset} must satisfy 0 < onset < {cfg.episode_length - 5}"
-        )
-    if spec.kind == "intruder_cut":
-        vx, vy = cfg.base_velocity
-        if vx == 0.0 and vy == 0.0:
-            raise ValueError("intruder_cut requires a nonzero base velocity")
-        # the intruder comes in against the flow, so it can only first appear
-        # on the side the background motion points toward
-        if abs(vx) >= abs(vy):
-            allowed = ("ne", "se") if vx > 0 else ("nw", "sw")
-        else:
-            allowed = ("se", "sw") if vy > 0 else ("ne", "nw")
-        if spec.region not in allowed:
-            raise ValueError(
-                f"quadrant {spec.region!r} is not reachable moving against "
-                f"base velocity {cfg.base_velocity}; valid: {allowed}"
-            )
-
-
 def _stamp_intruder(frames: list[np.ndarray], cfg: SceneConfig,
                     spec: AnomalySpec, rng: np.random.Generator) -> None:
-    """Overwrite a textured square moving against the flow, frames >= onset."""
+    """Overwrite a textured square moving in from the east edge, frames >= onset.
+
+    It travels along its quadrant's lane at ``magnitude`` times the base speed.
+    """
     size = cfg.size
     side = size // 4
-    itex = _texture(side, max(4, cfg.texture_waves // 2), rng)
-    vx, vy = cfg.base_velocity
-    speed = spec.magnitude * float(np.hypot(vx, vy))
-    horizontal = abs(vx) >= abs(vy)
-    if horizontal:
-        lane0 = (size // 2 - side) // 2
-        lane = lane0 if spec.region in ("ne", "nw") else size // 2 + lane0
-    else:
-        lane0 = (size // 2 - side) // 2
-        lane = lane0 if spec.region in ("nw", "sw") else size // 2 + lane0
+    itex = _texture(side, TEXTURE_WAVES // 2, rng)
+    lane0 = (size // 2 - side) // 2
+    yi = lane0 if spec.region == "ne" else size // 2 + lane0
+    speed = spec.magnitude * BASE_VELOCITY[0]
     for t in range(spec.onset, cfg.episode_length):
-        travel = speed * (t - spec.onset + 1)
-        if horizontal:
-            x0 = size - travel if vx > 0 else travel - side
-            y0 = float(lane)
-        else:
-            y0 = size - travel if vy > 0 else travel - side
-            x0 = float(lane)
-        xi, yi = int(round(x0)), int(round(y0))
-        xs, ys = max(xi, 0), max(yi, 0)
-        xe, ye = min(xi + side, size), min(yi + side, size)
-        if xe <= xs or ye <= ys:
-            continue
-        frames[t][ys:ye, xs:xe] = itex[ys - yi:ye - yi, xs - xi:xe - xi]
+        xi = int(round(size - speed * (t - spec.onset + 1)))
+        xs, xe = max(xi, 0), min(xi + side, size)
+        if xe > xs:
+            frames[t][yi:yi + side, xs:xe] = itex[:, xs - xi:xe - xi]
 
 
 def gen_ood_episode(cfg: SceneConfig, spec: AnomalySpec,
@@ -205,11 +172,14 @@ def gen_ood_episode(cfg: SceneConfig, spec: AnomalySpec,
     Frames before the onset are bit-identical to gen_id_episode with the
     same config (the generators share their draw order).
     """
-    _validate_spec(cfg, spec)
+    if not 0 < spec.onset < cfg.episode_length - 5:
+        raise ValueError(
+            f"onset {spec.onset} must satisfy 0 < onset < {cfg.episode_length - 5}"
+        )
     rng = np.random.default_rng(cfg.seed)
-    tex = _texture(cfg.size, cfg.texture_waves, rng)
+    tex = _texture(cfg.size, TEXTURE_WAVES, rng)
     vel = _step_velocities(cfg, rng)
-    base = np.asarray(cfg.base_velocity, dtype=np.float64)
+    base = np.asarray(BASE_VELOCITY, dtype=np.float64)
     jitter = vel - base[None, :]
     # step index t produces frame t+1; frames >= onset are anomalous
     post = np.arange(1, cfg.episode_length)[:, None] >= spec.onset
@@ -243,8 +213,9 @@ def gen_benchmark(out_dir, cfg: SceneConfig, n_id: int, n_ood: int,
 
     Layout: <out_dir>/<episode_id>/frame_%04d.pgm and manifest.json per
     episode, plus an index.json at the root listing every manifest.
-    Anomaly kinds are cycled, quadrants alternate on the reachable side,
-    and onsets are uniform on [15, 40].  Byte-identical for a fixed seed.
+    Anomaly kinds are cycled, intruders alternate between the ne and se
+    quadrants, and onsets are uniform on [15, 40].  Byte-identical for a
+    fixed seed.
     """
     if n_id < 1 or n_ood < 1:
         raise ValueError("n_id and n_ood must be >= 1")
@@ -257,12 +228,6 @@ def gen_benchmark(out_dir, cfg: SceneConfig, n_id: int, n_ood: int,
     out_dir.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(seed)
     manifests: list[EpisodeManifest] = []
-
-    vx, vy = cfg.base_velocity
-    if abs(vx) >= abs(vy):
-        quadrants = ("ne", "se") if vx > 0 else ("nw", "sw")
-    else:
-        quadrants = ("se", "sw") if vy > 0 else ("ne", "nw")
 
     def write_episode(episode: Episode) -> EpisodeManifest:
         ep_dir = out_dir / episode.id
@@ -279,24 +244,16 @@ def gen_benchmark(out_dir, cfg: SceneConfig, n_id: int, n_ood: int,
         return manifest
 
     for i in range(n_id):
-        ep_cfg = SceneConfig(size=cfg.size, episode_length=cfg.episode_length,
-                             texture_waves=cfg.texture_waves,
-                             base_velocity=cfg.base_velocity,
-                             velocity_jitter=cfg.velocity_jitter,
-                             seed=int(rng.integers(0, 2**31)))
+        ep_cfg = replace(cfg, seed=int(rng.integers(0, 2**31)))
         manifests.append(write_episode(gen_id_episode(ep_cfg, f"id_{i:04d}")))
 
     for i in range(n_ood):
-        ep_seed = int(rng.integers(0, 2**31))
+        ep_cfg = replace(cfg, seed=int(rng.integers(0, 2**31)))
         onset = int(rng.integers(ONSET_RANGE[0], ONSET_RANGE[1] + 1))
         kind = ANOMALY_KINDS[i % len(ANOMALY_KINDS)]
-        region = quadrants[i % 2] if kind == "intruder_cut" else None
+        region = INTRUDER_QUADRANTS[i % 2] if kind == "intruder_cut" else None
         spec = AnomalySpec(kind=kind, onset=onset,
                            magnitude=_KIND_DEFAULTS[kind], region=region)
-        ep_cfg = SceneConfig(size=cfg.size, episode_length=cfg.episode_length,
-                             texture_waves=cfg.texture_waves,
-                             base_velocity=cfg.base_velocity,
-                             velocity_jitter=cfg.velocity_jitter, seed=ep_seed)
         manifests.append(write_episode(gen_ood_episode(ep_cfg, spec, f"ood_{i:04d}")))
 
     index = {"episodes": [f"{m.id}/manifest.json" for m in manifests]}

@@ -114,7 +114,7 @@ def _backward(params: dict[str, np.ndarray], cache: dict,
 # Training loop
 # ---------------------------------------------------------------------------
 
-def train(dataset, config: TrainConfig, arch: VaeArchitecture | None = None,
+def train(dataset, config: TrainConfig, arch: VaeArchitecture,
           max_flow: float = vae.DEFAULT_MAX_FLOW):
     """Adam-optimize the VAE on preprocessed flow grids.
 
@@ -125,10 +125,6 @@ def train(dataset, config: TrainConfig, arch: VaeArchitecture | None = None,
     if len(dataset) == 0:
         raise ValueError("dataset must be nonempty")
     x_all = np.stack([np.asarray(d, dtype=np.float64) for d in dataset])
-    if arch is None:
-        if x_all.shape[2] != x_all.shape[3]:
-            raise ValueError("flow grids must be square")
-        arch = VaeArchitecture(input_size=x_all.shape[2])
     expected = (vae.INPUT_CHANNELS, arch.input_size, arch.input_size)
     if x_all.shape[1:] != expected:
         raise ValueError(f"dataset items must have shape {expected}, got {x_all.shape[1:]}")

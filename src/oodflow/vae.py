@@ -109,10 +109,6 @@ class LatentPosterior:
         if np.any(logvar < LOGVAR_MIN) or np.any(logvar > LOGVAR_MAX):
             raise ValueError(f"logvar must lie in [{LOGVAR_MIN}, {LOGVAR_MAX}]")
 
-    @property
-    def dim(self) -> int:
-        return self.mu.shape[0]
-
 
 @dataclass(frozen=True)
 class EncodeOutput:
@@ -167,12 +163,11 @@ def init_params(arch: VaeArchitecture,
     return params
 
 
-def init_weights(arch: VaeArchitecture, seed: int,
-                 max_flow: float = DEFAULT_MAX_FLOW) -> VaeWeights:
+def init_weights(arch: VaeArchitecture, seed: int) -> VaeWeights:
     """Freshly initialized float32 weights (see :func:`init_params`)."""
     params = init_params(arch, seed)
     tensors = {k: v.astype(np.float32) for k, v in params.items()}
-    return VaeWeights(arch=arch, max_flow=max_flow, tensors=tensors)
+    return VaeWeights(arch=arch, max_flow=DEFAULT_MAX_FLOW, tensors=tensors)
 
 
 def _check_finite(name: str, arr: np.ndarray) -> None:
@@ -325,8 +320,8 @@ def save_weights(path, weights: VaeWeights) -> None:
             fh.write(np.ascontiguousarray(weights.tensors[name], dtype="<f4").tobytes())
 
 
-def load_weights(path, expected: VaeArchitecture | None = None) -> VaeWeights:
-    """Read a weights file; optionally enforce an expected architecture.
+def load_weights(path) -> VaeWeights:
+    """Read a weights file and the architecture its header describes.
 
     Raises FormatError on magic/version/shape mismatch and EOFError when the
     file is truncated (no partial weights are returned).
@@ -357,10 +352,6 @@ def load_weights(path, expected: VaeArchitecture | None = None) -> VaeWeights:
                                    conv_channels=tuple(channels))
         except ValueError as exc:
             raise FormatError(f"invalid architecture in weights header: {exc}") from exc
-        if expected is not None and arch != expected:
-            raise FormatError(
-                f"weights architecture {arch} does not match expected {expected}"
-            )
         shapes = arch.tensor_shapes()
         sizes = [math.prod(shape) for shape in shapes.values()]
         flat = np.frombuffer(take(fh, 4 * sum(sizes), "the tensors"), dtype="<f4")

@@ -215,12 +215,12 @@ def test_c06_backprop_gradient_check():
                   f"{err_recon:.2e} (beta_kl=0), 120 params each")
 
 
-def test_c07_end_to_end_detection(benchmark64, flow_params):
+def test_c07_end_to_end_detection(benchmark64):
     """30 ID + 30 OOD episodes at tau=3, n=10, d=10: F1 >= 0.90, FPR <= 0.10."""
     t0 = time.perf_counter()
     metrics, records = harness.evaluate(
         benchmark64["eval_manifests"], benchmark64["weights"],
-        benchmark64["cal"], benchmark64["detector"], flow_params)
+        benchmark64["cal"], benchmark64["detector"])
     eval_seconds = time.perf_counter() - t0
     total = benchmark64["train_seconds"] + eval_seconds
     ok = metrics.f1 >= 0.90 and metrics.fpr <= 0.10 and total <= 1800.0
@@ -231,7 +231,7 @@ def test_c07_end_to_end_detection(benchmark64, flow_params):
         f"train {benchmark64['train_seconds']:.0f}s + eval {eval_seconds:.0f}s")
 
 
-def test_c08_localization_mass(benchmark64, flow_params):
+def test_c08_localization_mass(benchmark64):
     """>= 50% of overlay mass in the intruder's quadrant on detection frames."""
     weights, cal, stats = (benchmark64["weights"], benchmark64["cal"],
                            benchmark64["stats"])
@@ -245,8 +245,7 @@ def test_c08_localization_mass(benchmark64, flow_params):
         scene = synthdata.SceneConfig(size=64, episode_length=60, seed=9100 + i)
         spec = synthdata.AnomalySpec("intruder_cut", onset, 1.5, quad)
         ep = synthdata.gen_ood_episode(scene, spec)
-        events, _ = conformal.detect_episode(ep.frames, weights, cal, cfg,
-                                             flow_params)
+        events, _ = conformal.detect_episode(ep.frames, weights, cal, cfg)
         if not events:
             misses += 1
             continue
@@ -255,8 +254,7 @@ def test_c08_localization_mass(benchmark64, flow_params):
         rows = slice(0, 32) if quad[0] == "n" else slice(32, 64)
         cols = slice(32, 64) if quad[1] == "e" else slice(0, 32)
         for t in run:
-            flow = opticflow.lucas_kanade(ep.frames[t - 1], ep.frames[t],
-                                          flow_params)
+            flow = opticflow.lucas_kanade(ep.frames[t - 1], ep.frames[t])
             out, _ = vae.score_flow(weights, flow)
             m = localization.overlay(out.last_conv_activations, stats, 64)
             fractions.append(float(m[rows, cols].sum() / max(m.sum(), 1e-12)))
@@ -267,12 +265,12 @@ def test_c08_localization_mass(benchmark64, flow_params):
                   f"({misses} undetected)")
 
 
-def test_c09_decision_latency(benchmark64, flow_params):
+def test_c09_decision_latency(benchmark64):
     """Mean per-decision latency <= 200 ms at 64x64 with breakdown fields."""
     ep = synthdata.gen_id_episode(synthdata.SceneConfig(size=64, seed=77))
     rep = harness.measure_latency(ep.frames, benchmark64["weights"],
                                   benchmark64["cal"], benchmark64["detector"],
-                                  flow_params, warmup=5, reps=50)
+                                  warmup=5, reps=50)
     breakdown_ok = all(v > 0 for v in (rep.flow_ms, rep.encode_ms,
                                        rep.conformal_ms))
     ok = rep.mean_ms <= 200.0 and breakdown_ok

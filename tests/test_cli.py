@@ -1,12 +1,16 @@
 import json
+import shlex
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from oodflow import cli, gridio
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.fixture(scope="module")
@@ -168,6 +172,57 @@ def test_exit_code_oversized_pgm_header(pipeline, tmp_path):
     assert rc == cli.EXIT_OK
     doc = json.loads(out.read_text())
     assert doc["tp"] + doc["fp"] + doc["tn"] + doc["fn"] == 4
+
+
+@pytest.mark.parametrize("broken, code", [
+    ("scores-object", cli.EXIT_VALIDATION),
+    ("truncated", cli.EXIT_IO),
+])
+def test_exit_code_malformed_calibration(pipeline, tmp_path, broken, code):
+    text = pipeline["cal"].read_text()
+    if broken == "scores-object":
+        text = json.dumps({**json.loads(text), "scores": {"a": 1.0}})
+    else:
+        text = text[:len(text) // 2]
+    cal = tmp_path / "cal.json"
+    cal.write_text(text)
+    rc = cli.main(["detect", "--episode",
+                   str(pipeline["corpus"] / "id_0000" / "manifest.json"),
+                   "--weights", str(pipeline["weights"]), "--cal", str(cal),
+                   "--out-curve", str(tmp_path / "c.csv"),
+                   "--out-events", str(tmp_path / "e.jsonl")])
+    assert rc == code
+
+
+def test_exit_code_non_finite_threshold(pipeline, tmp_path):
+    out = tmp_path / "metrics.json"
+    args = ["eval", "--corpus", str(pipeline["corpus"]),
+            "--weights", str(pipeline["weights"]), "--cal", str(pipeline["cal"]),
+            "--out", str(out)]
+    assert cli.main(args + ["--threshold", "nan"]) == cli.EXIT_VALIDATION
+    assert cli.main(args + ["--threshold", "inf"]) == cli.EXIT_VALIDATION
+    assert cli.main(args + ["--grid", "1,nan"]) == cli.EXIT_VALIDATION
+    assert not out.exists()
+
+
+def _readme_commands():
+    """The ``oodflow`` command lines of README's "Command line" block."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = text.split("## Command line", 1)[1].split("```bash", 1)[1]
+    block = block.split("```", 1)[0].replace("\\\n", " ")
+    return [shlex.split(line)[1:] for line in block.splitlines()
+            if line.startswith("oodflow ")]
+
+
+def test_readme_commands_parse():
+    commands = _readme_commands()
+    assert {argv[0] for argv in commands} == set(cli._COMMANDS)
+    parser = cli._build_parser()
+    for argv in commands:
+        try:
+            parser.parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"README command does not parse: oodflow {shlex.join(argv)}")
 
 
 def test_module_entry_point():

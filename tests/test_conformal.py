@@ -221,7 +221,9 @@ def test_window_eviction():
 
 
 def test_detector_config_validation():
-    for bad in (dict(window=0), dict(consecutive=0)):
+    for bad in (dict(window=0), dict(consecutive=0),
+                dict(log_threshold=float("nan")), dict(log_threshold=float("inf")),
+                dict(log_threshold=-float("inf"))):
         with pytest.raises(ValueError):
             DetectorConfig(**bad)
 
@@ -237,14 +239,14 @@ def test_detect_episode_needs_two_frames(trained32):
                                  trained32["detector"])
 
 
-def test_detect_episode_id_quiet_and_deterministic(trained32, flow_params):
+def test_detect_episode_id_quiet_and_deterministic(trained32):
     ep = synthdata.gen_id_episode(synthdata.SceneConfig(size=32, seed=777))
     events1, curve1 = conformal.detect_episode(
         ep.frames, trained32["weights"], trained32["cal"], trained32["detector"],
-        flow_params, episode_id=ep.id)
+        episode_id=ep.id)
     events2, curve2 = conformal.detect_episode(
         ep.frames, trained32["weights"], trained32["cal"], trained32["detector"],
-        flow_params, episode_id=ep.id)
+        episode_id=ep.id)
     assert events1 == events2
     assert curve1 == curve2
     assert len(curve1) == len(ep.frames) - 1
@@ -252,18 +254,17 @@ def test_detect_episode_id_quiet_and_deterministic(trained32, flow_params):
     assert events1 == []
 
 
-def test_detect_episode_ood_onset_within_bound(trained32, flow_params):
+def test_detect_episode_ood_onset_within_bound(trained32):
     cfg = trained32["detector"]
     spec = synthdata.AnomalySpec("velocity_reversal", 30, 1.0)
     ep = synthdata.gen_ood_episode(synthdata.SceneConfig(size=32, seed=778), spec)
     events, curve = conformal.detect_episode(
-        ep.frames, trained32["weights"], trained32["cal"], cfg, flow_params,
-        episode_id=ep.id)
+        ep.frames, trained32["weights"], trained32["cal"], cfg, episode_id=ep.id)
     assert len(events) >= 1
     assert 30 <= events[0].onset_frame <= 30 + cfg.window + cfg.consecutive
 
 
-def test_curve_and_event_files(tmp_path, trained32, flow_params):
+def test_curve_and_event_files(tmp_path, trained32):
     import csv
     import json
 
@@ -271,7 +272,7 @@ def test_curve_and_event_files(tmp_path, trained32, flow_params):
     ep = synthdata.gen_ood_episode(synthdata.SceneConfig(size=32, seed=900), spec)
     events, curve = conformal.detect_episode(
         ep.frames, trained32["weights"], trained32["cal"], trained32["detector"],
-        flow_params, episode_id="ep-x")
+        episode_id="ep-x")
     conformal.write_curve_csv(tmp_path / "curve.csv", curve)
     conformal.write_events_jsonl(tmp_path / "events.jsonl", events)
 

@@ -73,13 +73,12 @@ def test_corpus_flow_dataset_ids_only(corpus32, trained32, flow_params):
 # evaluate / grid_search
 # ---------------------------------------------------------------------------
 
-def test_evaluate_detects_and_is_deterministic(corpus32, trained32, flow_params):
+def test_evaluate_detects_and_is_deterministic(corpus32, trained32):
     root, manifests = corpus32
     m1, records1 = harness.evaluate(manifests, trained32["weights"],
-                                    trained32["cal"], trained32["detector"],
-                                    flow_params)
+                                    trained32["cal"], trained32["detector"])
     m2, _ = harness.evaluate(manifests, trained32["weights"], trained32["cal"],
-                             trained32["detector"], flow_params)
+                             trained32["detector"])
     assert m1 == m2
     assert len(records1) == 6
     assert m1.tp + m1.fn == 3 and m1.fp + m1.tn == 3
@@ -89,7 +88,7 @@ def test_evaluate_detects_and_is_deterministic(corpus32, trained32, flow_params)
     assert detected_ood == m1.tp
 
 
-def test_evaluate_skips_unreadable_episode(corpus32, trained32, flow_params, tmp_path):
+def test_evaluate_skips_unreadable_episode(corpus32, trained32, tmp_path):
     root, manifests = corpus32
     broken_dir = tmp_path / "broken"
     cfg = synthdata.SceneConfig(size=32, episode_length=60)
@@ -99,22 +98,22 @@ def test_evaluate_skips_unreadable_episode(corpus32, trained32, flow_params, tmp
     with pytest.warns(UserWarning, match="skipping"):
         metrics, records = harness.evaluate(broken, trained32["weights"],
                                             trained32["cal"],
-                                            trained32["detector"], flow_params)
+                                            trained32["detector"])
     bad = [r for r in records if r.error is not None]
     assert len(bad) == 1 and bad[0].episode_id == broken[0].id
     assert metrics.tp + metrics.fp + metrics.tn + metrics.fn == 2
 
 
-def test_grid_search_single_threshold(corpus32, trained32, flow_params):
+def test_grid_search_single_threshold(corpus32, trained32):
     root, manifests = corpus32
     best, table, _ = harness.grid_search(manifests, trained32["weights"],
                                          trained32["cal"], [3.0],
-                                         trained32["detector"], flow_params)
+                                         trained32["detector"])
     assert best == 3.0 and len(table) == 1
 
 
 def test_grid_search_best_dominates_and_caches_curves(
-        corpus32, trained32, flow_params, monkeypatch):
+        corpus32, trained32, monkeypatch):
     root, manifests = corpus32
     calls = {"n": 0}
     orig = conformal.detect_episode
@@ -127,20 +126,19 @@ def test_grid_search_best_dominates_and_caches_curves(
     thresholds = [1.0, 2.0, 3.0, 5.0, 8.0, 12.0]
     best, table, _ = harness.grid_search(manifests, trained32["weights"],
                                          trained32["cal"], thresholds,
-                                         trained32["detector"], flow_params)
+                                         trained32["detector"])
     assert calls["n"] == len(manifests)  # curves computed once, not per tau
     best_f1 = dict((t, m.f1) for t, m in table)[best]
     assert all(best_f1 >= m.f1 for _, m in table)
 
 
-def test_grid_search_consistent_with_evaluate(corpus32, trained32, flow_params):
+def test_grid_search_consistent_with_evaluate(corpus32, trained32):
     root, manifests = corpus32
     _, table, _ = harness.grid_search(manifests, trained32["weights"],
                                       trained32["cal"], [3.0],
-                                      trained32["detector"], flow_params)
+                                      trained32["detector"])
     direct, _ = harness.evaluate(manifests, trained32["weights"],
-                                 trained32["cal"], trained32["detector"],
-                                 flow_params)
+                                 trained32["cal"], trained32["detector"])
     assert table[0][1] == direct
 
 
@@ -155,12 +153,12 @@ def test_grid_search_empty_thresholds(corpus32, trained32):
 # latency
 # ---------------------------------------------------------------------------
 
-def test_measure_latency_report(trained32, flow_params):
+def test_measure_latency_report(trained32):
     ep = synthdata.gen_id_episode(synthdata.SceneConfig(size=32, seed=60,
                                                         episode_length=12))
     rep = harness.measure_latency(ep.frames, trained32["weights"],
                                   trained32["cal"], trained32["detector"],
-                                  flow_params, warmup=2, reps=10)
+                                  warmup=2, reps=10)
     assert rep.reps == 10
     for part in (rep.mean_ms, rep.p95_ms, rep.flow_ms, rep.encode_ms,
                  rep.conformal_ms):
@@ -195,11 +193,33 @@ def test_calibration_file_round_trip(tmp_path, trained32):
     assert stats.count == trained32["stats"].count
 
 
-def test_calibration_file_missing_field(tmp_path):
+_CAL_DOC = {"scores": [0.5, 1.0], "activation_shape": [1, 1, 2],
+            "activation_mean": [0.0, 0.0], "activation_std": [1.0, 1.0],
+            "count": 2}
+
+
+@pytest.mark.parametrize("text, match", [
+    (json.dumps({"scores": [1.0]}), "missing"),
+    ('{"scores": [1.0', "not valid JSON"),
+    (json.dumps([_CAL_DOC]), "JSON object"),
+    (json.dumps({**_CAL_DOC, "scores": {"a": 1.0}}), "'scores'"),
+    (json.dumps({**_CAL_DOC, "scores": [0.5, "1"]}), "'scores'"),
+    (json.dumps({**_CAL_DOC, "activation_shape": "1,1,2"}), "'activation_shape'"),
+    (json.dumps({**_CAL_DOC, "activation_shape": None}), "'activation_shape'"),
+    (json.dumps({**_CAL_DOC, "activation_shape": [1, 1, 2.0]}), "'activation_shape'"),
+    (json.dumps({**_CAL_DOC, "activation_mean": None}), "'activation_mean'"),
+    (json.dumps({**_CAL_DOC, "activation_std": [1.0]}), "reshape"),
+    (json.dumps({**_CAL_DOC, "count": [2]}), "'count'"),
+    (json.dumps({**_CAL_DOC, "count": True}), "'count'"),
+], ids=["missing", "not-json", "not-object", "scores-object", "scores-string",
+        "shape-string", "shape-null", "shape-float", "mean-null", "std-size",
+        "count-list", "count-bool"])
+def test_calibration_file_missing_field(tmp_path, text, match):
     p = tmp_path / "cal.json"
-    p.write_text(json.dumps({"scores": [1.0]}))
-    with pytest.raises(ValueError, match="missing"):
+    p.write_text(text)
+    with pytest.raises(ValueError, match=match):
         harness.load_calibration(p)
+
 
 
 def test_metrics_json_schema(tmp_path):

@@ -140,7 +140,7 @@ def test_render_validates():
 # end to end: intruder mass concentrates in its quadrant
 # ---------------------------------------------------------------------------
 
-def test_intruder_overlay_mass_in_quadrant(trained32, flow_params):
+def test_intruder_overlay_mass_in_quadrant(trained32):
     # at this scale the activation grid is 2x2, so the check is made at the
     # run-start frame while the intruder is still inside its entry quadrant;
     # the 64x64 acceptance suite averages the mass bound over 20 episodes
@@ -148,10 +148,10 @@ def test_intruder_overlay_mass_in_quadrant(trained32, flow_params):
     cfg = trained32["detector"]
     spec = synthdata.AnomalySpec("intruder_cut", 25, 1.5, "ne")
     ep = synthdata.gen_ood_episode(synthdata.SceneConfig(size=32, seed=321), spec)
-    events, _ = conformal.detect_episode(ep.frames, w, cal, cfg, flow_params)
+    events, _ = conformal.detect_episode(ep.frames, w, cal, cfg)
     assert events, "intruder episode must be detected"
     t = events[0].onset_frame
-    flow = opticflow.lucas_kanade(ep.frames[t - 1], ep.frames[t], flow_params)
+    flow = opticflow.lucas_kanade(ep.frames[t - 1], ep.frames[t])
     out = vae.encode(w, vae.preprocess(flow, w.arch, w.max_flow))
     m = localization.overlay(out.last_conv_activations, stats, out_size=32)
     quads = {"ne": m[:16, 16:].sum(), "nw": m[:16, :16].sum(),

@@ -11,8 +11,7 @@ NO_SMOOTH = FlowParams(presmooth_sigma=0.0)
 def _shifted_pair(seed, size=64):
     """A seeded texture and its bilinear-wrapped translation by (dx, dy)."""
     rng = np.random.default_rng(seed)
-    cfg = synthdata.SceneConfig(size=size, episode_length=2, velocity_jitter=0.0,
-                                base_velocity=(0.0, 0.0), seed=seed)
+    cfg = synthdata.SceneConfig(size=size, episode_length=2, seed=seed)
     tex = synthdata.gen_texture(cfg)
     angle = rng.uniform(0, 2 * np.pi)
     speed = rng.uniform(0, 2.0)

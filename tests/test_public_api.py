@@ -1,9 +1,10 @@
-"""Every public function and class of the package has a caller outside tests.
+"""Every public function, class and method of the package has a caller outside tests.
 
 A name defined at module level in ``src/oodflow`` (``__init__`` excluded,
-since re-exporting is not calling) must be referenced somewhere in the
-package, the demos or the benchmark.  Otherwise tests check code that
-nothing runs, and the code that does run can change unseen.
+since re-exporting is not calling), and each public method or property of
+a public class, must be referenced somewhere in the package, the demos or
+the benchmark.  Otherwise tests check code that nothing runs, and the code
+that does run can change unseen.
 """
 
 import ast
@@ -34,6 +35,18 @@ def _public_definitions():
     return found
 
 
+def _public_methods():
+    found = []
+    for path in _modules():
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+                found += [(item.name, f"{path.stem}.{node.name}.{item.name}")
+                          for item in node.body
+                          if isinstance(item, ast.FunctionDef)
+                          and not item.name.startswith("_")]
+    return found
+
+
 def _referenced_names():
     sources = (_modules() + sorted((ROOT / "demos").glob("*.py"))
                + sorted((ROOT / "perfbench").glob("*.py")))
@@ -54,6 +67,12 @@ def test_public_names_have_callers_outside_tests():
     unused = sorted(qual for name, qual in _public_definitions().items()
                     if name not in used and name not in ALLOWED)
     assert unused == [], f"public names only tests use: {unused}"
+
+
+def test_public_methods_have_callers_outside_tests():
+    used = _referenced_names()
+    unused = sorted(qual for name, qual in _public_methods() if name not in used)
+    assert unused == [], f"public methods only tests use: {unused}"
 
 
 def test_allowlist_is_current():

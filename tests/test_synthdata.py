@@ -21,7 +21,7 @@ def test_texture_deterministic():
 
 
 def test_texture_zero_waves_constant_half():
-    tex = synthdata.gen_texture(SceneConfig(texture_waves=0, seed=1))
+    tex = synthdata._texture(64, 0, np.random.default_rng(1))
     np.testing.assert_array_equal(tex, np.full((64, 64), 0.5, dtype=np.float32))
 
 
@@ -37,8 +37,7 @@ def test_texture_range_and_contrast():
 # ---------------------------------------------------------------------------
 
 def test_id_episode_integer_shift_exact():
-    cfg = SceneConfig(velocity_jitter=0.0, base_velocity=(1.0, 0.0), seed=3,
-                      episode_length=10)
+    cfg = SceneConfig(velocity_jitter=0.0, seed=3, episode_length=10)
     ep = synthdata.gen_id_episode(cfg)
     for t in range(10):
         np.testing.assert_array_equal(ep.frames[t], np.roll(ep.frames[0], t, axis=1))
@@ -54,8 +53,7 @@ def test_id_episode_deterministic():
 
 
 def test_id_episode_flow_matches_base_velocity():
-    cfg = SceneConfig(velocity_jitter=0.0, base_velocity=(1.0, 0.0), seed=8,
-                      episode_length=3)
+    cfg = SceneConfig(velocity_jitter=0.0, seed=8, episode_length=3)
     ep = synthdata.gen_id_episode(cfg)
     flow = opticflow.lucas_kanade(ep.frames[0], ep.frames[1])
     assert abs(flow[0].mean() - 1.0) <= 0.25
@@ -174,7 +172,7 @@ def test_gen_benchmark_reproducible_bytes(tmp_path):
 
 
 def test_gen_benchmark_onsets_uniform(tmp_path):
-    cfg = SceneConfig(size=16, episode_length=46, texture_waves=4)
+    cfg = SceneConfig(size=16, episode_length=46)
     manifests = synthdata.gen_benchmark(tmp_path, cfg, n_id=1, n_ood=200, seed=4)
     onsets = [m.onset_frame for m in manifests if m.label == "ood"]
     lo, hi = synthdata.ONSET_RANGE
