@@ -73,13 +73,24 @@ class LatencyReport:
 
 
 def load_corpus(corpus_dir) -> list[EpisodeManifest]:
-    """Load every manifest listed in a corpus index.json (or by scanning)."""
+    """Load every manifest listed in a corpus index.json (or by scanning).
+
+    Raises FormatError when index.json is not JSON and ValueError when it is
+    not an object whose "episodes" is a list of strings.
+    """
     corpus_dir = Path(corpus_dir)
     index_path = corpus_dir / "index.json"
     if index_path.exists():
-        with open(index_path, "r", encoding="utf-8") as fh:
-            index = json.load(fh)
+        try:
+            with open(index_path, "r", encoding="utf-8") as fh:
+                index = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise gridio.FormatError(f"corpus index is not valid JSON: {exc}") from exc
+        if not isinstance(index, dict):
+            raise ValueError("corpus index must be a JSON object")
         rel_paths = index.get("episodes", [])
+        if not (isinstance(rel_paths, list) and all(isinstance(r, str) for r in rel_paths)):
+            raise ValueError("corpus index field 'episodes' must be a list of strings")
         paths = [corpus_dir / rel for rel in rel_paths]
     else:
         paths = sorted(corpus_dir.glob("*/manifest.json"))

@@ -1,22 +1,17 @@
 """Convolution, dense, and resize primitives on NCHW numpy arrays.
 
-Forward and backward passes are built from a single im2col/col2im pair so
-that transposed convolution is exactly the adjoint of convolution.  Columns
-are (C*k*k, N*out_h*out_w), so each conv and each backward pass is one gemm
-over the batch, whose (C, N*H*W) output is returned as an (N, C, H, W) view.
-All functions preserve the dtype of their weight arguments; col2im sums the
-taps of each pixel into a float64 zero in ascending (i, j) order.
+A convolution unfolds its input with im2col into (C*k*k, N*out_h*out_w)
+columns, so each conv and each weight gradient is one gemm over the batch,
+whose (C, N*H*W) output is returned as an (N, C, H, W) view.  Transposed
+convolution and the input gradient of a convolution, which is the same map,
+share one sub-pixel core that sums the taps of each pixel into a float64
+zero in ascending (i, j) order.  All functions preserve the dtype of their
+weight arguments.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-
-def _taps(k: int, stride: int, out_h: int, out_w: int):
-    """(i, j, padded-grid slice) per kernel tap, in ascending (i, j) order."""
-    return [(i, j, np.s_[:, :, i:i + stride * out_h:stride, j:j + stride * out_w:stride])
-            for i in range(k) for j in range(k)]
 
 
 def im2col(x: np.ndarray, k: int, stride: int, pad: int) -> np.ndarray:
@@ -27,23 +22,52 @@ def im2col(x: np.ndarray, k: int, stride: int, pad: int) -> np.ndarray:
     xp = np.zeros((c, n, h + 2 * pad, w + 2 * pad), dtype=x.dtype)
     xp[:, :, pad:pad + h, pad:pad + w] = x.transpose(1, 0, 2, 3)
     cols = np.empty((c, k, k, n, out_h, out_w), dtype=x.dtype)
-    for i, j, window in _taps(k, stride, out_h, out_w):
-        cols[:, i, j] = xp[window]
+    for i in range(k):
+        for j in range(k):
+            cols[:, i, j] = xp[:, :, i:i + stride * out_h:stride, j:j + stride * out_w:stride]
     return cols.reshape(c * k * k, n * out_h * out_w)
 
 
-def col2im(cols: np.ndarray, channels: int, height: int, width: int,
-           k: int, stride: int, pad: int) -> np.ndarray:
-    """Adjoint of :func:`im2col`: sum columns back into (N, C, H, W)."""
-    hp, wp = height + 2 * pad, width + 2 * pad
-    out_h = (hp - k) // stride + 1
-    out_w = (wp - k) // stride + 1
-    n = cols.shape[1] // (out_h * out_w)
-    taps = cols.reshape(channels, k, k, n, out_h, out_w)
-    out = np.zeros((channels, n, hp, wp), dtype=np.float64)
-    for i, j, window in _taps(k, stride, out_h, out_w):
-        out[window] += taps[:, i, j]
-    out = out[:, :, pad:pad + height, pad:pad + width].astype(cols.dtype, copy=False)
+def _transposed_conv(x: np.ndarray, w: np.ndarray, stride: int,
+                     pad: int) -> np.ndarray:
+    """Bias-free transposed convolution of (N, IC, ih, iw) by (IC, OC, k, k).
+
+    Sub-pixel form (Dumoulin & Visin 2016; Shi et al. 2016), for k a
+    multiple of the stride s and r = k // s.  On the output grid padded by
+    ``pad``, pixel (s*u + a, s*v + b) receives exactly the r*r taps
+    (a + s*di, b + s*dj) from input pixel (u - di, v - dj).  So each parity
+    class (a, b) is one gemm of its r*r*OC weight rows against input columns
+    that carry r - 1 zero rows and columns per sample, and tap (di, dj) is
+    one contiguous add at offset di*pw + dj of the flattened (OC, N, ph, pw)
+    plane.  A tap that falls off a sample's edge adds an exact zero from the
+    padding, so each pixel sums 0 + its taps in ascending (i, j) order, bit
+    for bit what a per-pixel loop computes.
+    """
+    n, ic, ih, iw = x.shape
+    _, oc, k, _ = w.shape
+    s, r = stride, k // stride
+    oh, ow = (ih - 1) * s - 2 * pad + k, (iw - 1) * s - 2 * pad + k
+    ph, pw = ih + r - 1, iw + r - 1
+    xp = np.zeros((ic, n, ph, pw), dtype=x.dtype)
+    xp[:, :, :ih, :iw] = x.transpose(1, 0, 2, 3)
+    xp = xp.reshape(ic, -1)
+    # (IC, a, b, di, dj, OC) for tap (i, j) = (s*di + a, s*dj + b)
+    taps = np.ascontiguousarray(w.reshape(ic, oc, r, s, r, s).transpose(0, 3, 5, 2, 4, 1))
+    out = np.empty((oc, n, oh, ow), dtype=np.result_type(x, w))
+    plane = np.empty(oc * xp.shape[1])
+    for a in range(s):
+        for b in range(s):
+            g = taps[:, a, b].reshape(ic, -1).T @ xp
+            g = g.reshape(r * r, -1)  # rows (di, dj), each (OC, N, ph, pw)
+            np.add(g[0], 0.0, out=plane)  # 0 + t, as for every later tap
+            for t in range(1, r * r):
+                off = (t // r) * pw + t % r
+                plane[off:] += g[t, :-off]
+            h0, w0 = (a - pad) % s, (b - pad) % s
+            dst = out[:, :, h0::s, w0::s]
+            u0, v0 = (h0 + pad) // s, (w0 + pad) // s
+            dst[...] = plane.reshape(oc, n, ph, pw)[
+                :, :, u0:u0 + dst.shape[2], v0:v0 + dst.shape[3]]
     return out.transpose(1, 0, 2, 3)
 
 
@@ -62,18 +86,25 @@ def conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray, stride: int,
     return y.reshape(oc, n, out_h, out_w).transpose(1, 0, 2, 3), cols
 
 
-def conv2d_backward(dy: np.ndarray, cols: np.ndarray, w: np.ndarray,
-                    x_shape: tuple, stride: int, pad: int):
-    """Gradients of conv2d w.r.t. input, weight, and bias."""
-    n, c, h, width = x_shape
-    oc, _, k, _ = w.shape
+def conv2d_backward(dy: np.ndarray, cols: np.ndarray, w: np.ndarray):
+    """Gradients of conv2d w.r.t. weight and bias, from its im2col cache."""
+    n, oc = dy.shape[:2]
     # numpy sums in an order set by the memory layout: a C-contiguous copy
     # keeps the bias gradient independent of the layout dy arrives in
     db = np.ascontiguousarray(dy).reshape(n, oc, -1).sum(axis=(0, 2))
     dy_flat = dy.transpose(1, 0, 2, 3).reshape(oc, -1)
     dw = (dy_flat @ cols.T).reshape(w.shape)
-    dx = col2im(w.reshape(oc, -1).T @ dy_flat, c, h, width, k, stride, pad)
-    return dx, dw, db
+    return dw, db
+
+
+def conv2d_input_grad(dy: np.ndarray, w: np.ndarray, stride: int,
+                      pad: int) -> np.ndarray:
+    """Gradient of conv2d w.r.t. its input: the transposed conv of dy by w.
+
+    Its spatial size is (out - 1)*stride - 2*pad + k, the conv's input size
+    whenever the conv's windows tile its padded input exactly.
+    """
+    return _transposed_conv(dy, w, stride, pad)
 
 
 def conv_transpose2d(x: np.ndarray, w: np.ndarray, b: np.ndarray,
@@ -82,13 +113,9 @@ def conv_transpose2d(x: np.ndarray, w: np.ndarray, b: np.ndarray,
 
     Output spatial size is (in - 1)*stride - 2*pad + k per dimension.
     """
-    ic, ih, iw = x.shape[1:]
-    _, oc, k, _ = w.shape
-    oh = (ih - 1) * stride - 2 * pad + k
-    ow = (iw - 1) * stride - 2 * pad + k
-    cols = w.reshape(ic, -1).T @ x.transpose(1, 0, 2, 3).reshape(ic, -1)
-    y = col2im(cols, oc, oh, ow, k, stride, pad)
-    return y + b[None, :, None, None]
+    y = _transposed_conv(x, w, stride, pad)
+    y += b[None, :, None, None]
+    return y
 
 
 def conv_transpose2d_backward(dy: np.ndarray, x: np.ndarray, w: np.ndarray,

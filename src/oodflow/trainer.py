@@ -100,13 +100,15 @@ def _backward(params: dict[str, np.ndarray], cache: dict,
         dmu, cache["flat"], params["mu_w"])
     dflat_lv, grads["logvar_w"], grads["logvar_b"] = nnops.linear_backward(
         dlogvar_raw, cache["flat"], params["logvar_w"])
-    g = (dflat_mu + dflat_lv).reshape(enc_tape[3][2].shape)
+    g = (dflat_mu + dflat_lv).reshape(enc_tape[3][1].shape)
 
     for i in range(3, -1, -1):
-        in_shape, cols, pre = enc_tape[i]
+        cols, pre = enc_tape[i]
         g = nnops.relu_backward(g, pre)
-        g, grads[f"enc{i}_w"], grads[f"enc{i}_b"] = nnops.conv2d_backward(
-            g, cols, params[f"enc{i}_w"], in_shape, s, p)
+        grads[f"enc{i}_w"], grads[f"enc{i}_b"] = nnops.conv2d_backward(
+            g, cols, params[f"enc{i}_w"])
+        if i > 0:  # the input of enc0 is the data, which needs no gradient
+            g = nnops.conv2d_input_grad(g, params[f"enc{i}_w"], s, p)
     return grads
 
 

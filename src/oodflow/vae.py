@@ -180,15 +180,15 @@ def encoder(tensors: dict[str, np.ndarray], x: np.ndarray,
     """The encoder network on (N, C, S, S) inputs, in the dtype of ``tensors``.
 
     Returns (mu, raw logvar, last-conv volume); callers clamp logvar.  With
-    a ``tape``, each conv layer appends (input shape, im2col columns,
-    pre-activation) for the backward pass.
+    a ``tape``, each conv layer appends (im2col columns, pre-activation)
+    for the backward pass.
     """
     h = x
     for i in range(4):
         y, cols = nnops.conv2d(h, tensors[f"enc{i}_w"], tensors[f"enc{i}_b"],
                                STRIDE, PADDING)
         if tape is not None:
-            tape.append((h.shape, cols, y))
+            tape.append((cols, y))
         h = nnops.relu(y)
         del y, cols  # without a tape, free them before the next im2col
     # C-contiguous, so that sums over the volume keep a fixed order

@@ -1,0 +1,79 @@
+"""Print the sha256 of the arrays that training and scoring produce.
+
+    PYTHONPATH=src python tests/digest_arrays.py > digests.txt
+
+Run it in two checkouts and diff the outputs: equal lines mean the two
+compute the same bits.  It covers the loss terms and all gradients of one
+forward and backward pass at 32 px (N=7) and 64 px (N=32), a 2-epoch
+training run's final weights and CSV log, and ``encode_batch`` and
+``activation_stats`` on the trained weights.  The inputs are synthetic
+optic-flow fields.  pytest does not collect this file.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+from oodflow import localization, opticflow, synthdata, trainer, vae
+
+
+def _sha(arr) -> str:
+    arr = np.ascontiguousarray(arr)
+    return hashlib.sha256(str(arr.dtype).encode() + str(arr.shape).encode()
+                          + arr.tobytes()).hexdigest()
+
+
+def _flows(size: int, count: int, seed: int) -> np.ndarray:
+    arch = vae.VaeArchitecture(input_size=size)
+    ep = synthdata.gen_id_episode(synthdata.SceneConfig(size=size, seed=seed))
+    flows = [vae.preprocess(opticflow.lucas_kanade(a, b), arch)
+             for a, b in zip(ep.frames, ep.frames[1:])]
+    return np.stack(flows[:count]).astype(np.float64)
+
+
+def _step(tag: str, size: int, n: int, seed: int) -> None:
+    arch = vae.VaeArchitecture(input_size=size)
+    rng = np.random.default_rng(seed)
+    params = vae.init_params(arch, rng)
+    x = _flows(size, n, seed)
+    noise = rng.standard_normal((n, arch.latent_dim))
+    total, recon, kl, cache = trainer._forward(params, arch, x, noise, 1.0)
+    grads = trainer._backward(params, cache, 1.0)
+    for name, arr in (("total", total), ("recon", recon), ("kl", kl)):
+        print(f"{tag} loss.{name} {_sha(arr)}")
+    for name in sorted(grads):
+        print(f"{tag} grad.{name} {_sha(grads[name])}")
+
+
+def _training(size: int, seed: int) -> None:
+    arch = vae.VaeArchitecture(input_size=size)
+    flows = list(_flows(size, 59, seed))
+    weights, log = trainer.train(flows[:48], trainer.TrainConfig(epochs=2, seed=seed), arch)
+    for name in sorted(weights.tensors):
+        print(f"train{size} weight.{name} {_sha(weights.tensors[name])}")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "log.csv"
+        trainer.write_training_log(path, log)
+        print(f"train{size} log.csv {hashlib.sha256(path.read_bytes()).hexdigest()}")
+    held_out = flows[48:]
+    for name, arr in zip(("mu", "logvar", "acts"),
+                         vae.encode_batch(weights, np.stack(held_out))):
+        print(f"train{size} encode_batch.{name} {_sha(arr)}")
+    stats = localization.activation_stats(weights, held_out)
+    print(f"train{size} activation_stats.mean {_sha(stats.mean)}")
+    print(f"train{size} activation_stats.std {_sha(stats.std)}")
+
+
+def main() -> None:
+    _step("step32", 32, 7, 11)
+    _step("step64", 64, 32, 12)
+    _training(32, 13)
+    _training(64, 14)
+
+
+if __name__ == "__main__":
+    main()

@@ -1,6 +1,7 @@
 """Independent reference implementations used as test oracles only:
 straightforward float64 forward passes (deliberately unoptimized loops,
-no im2col/gemm machinery), a dense-grid trapezoid integrator for the
+no im2col/gemm machinery), a per-pixel col2im and the transposed conv it
+makes from one plain gemm, a dense-grid trapezoid integrator for the
 mixture martingale, and the closed-form tail of its mean under uniform
 p-values."""
 
@@ -92,6 +93,21 @@ def naive_col2im(cols, channels, height, width, k, stride, pad):
                             out[ni, c, i + stride * yy, j + stride * xx] += \
                                 cols[row, (ni * oh + yy) * ow + xx]
     return out[:, :, pad:pad + height, pad:pad + width].astype(cols.dtype)
+
+
+def gemm_col2im_transpose(x, w, stride, pad):
+    """Bias-free transposed conv of (N, IC, ih, iw) by (IC, OC, k, k) weights.
+
+    One gemm computes every tap of every input pixel, then
+    :func:`naive_col2im` sums them pixel by pixel: the bit-exact reference
+    for a transposed conv, and for a conv's input gradient, that sums each
+    pixel's taps into a float64 zero in ascending (i, j) order.
+    """
+    n, ic, ih, iw = x.shape
+    _, oc, k, _ = w.shape
+    cols = w.reshape(ic, -1).T @ x.transpose(1, 0, 2, 3).reshape(ic, -1)
+    return naive_col2im(cols, oc, (ih - 1) * stride - 2 * pad + k,
+                        (iw - 1) * stride - 2 * pad + k, k, stride, pad)
 
 
 def naive_encode(weights, flow):

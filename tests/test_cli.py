@@ -194,6 +194,25 @@ def test_exit_code_malformed_calibration(pipeline, tmp_path, broken, code):
     assert rc == code
 
 
+@pytest.mark.parametrize("index, code", [
+    ("[]", cli.EXIT_VALIDATION),
+    ('{"episodes": 5}', cli.EXIT_VALIDATION),
+    ('{"episodes": [5]}', cli.EXIT_VALIDATION),
+    ("truncated", cli.EXIT_IO),
+], ids=["list", "episodes-number", "episode-number", "truncated"])
+def test_exit_code_malformed_corpus_index(pipeline, tmp_path, index, code):
+    corpus = tmp_path / "corpus"
+    shutil.copytree(pipeline["corpus"], corpus)
+    if index == "truncated":
+        text = (corpus / "index.json").read_text()
+        index = text[:len(text) // 2]
+    (corpus / "index.json").write_text(index)
+    rc = cli.main(["eval", "--corpus", str(corpus),
+                   "--weights", str(pipeline["weights"]),
+                   "--cal", str(pipeline["cal"]), "--out", str(tmp_path / "m.json")])
+    assert rc == code
+
+
 def test_exit_code_non_finite_threshold(pipeline, tmp_path):
     out = tmp_path / "metrics.json"
     args = ["eval", "--corpus", str(pipeline["corpus"]),

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from oodflow import nnops
 
-from naive_ref import naive_col2im, naive_conv2d, naive_conv_transpose2d
+from naive_ref import gemm_col2im_transpose, naive_conv2d, naive_conv_transpose2d
 
 
 def _rand(shape, seed, dtype=np.float64):
@@ -31,32 +33,59 @@ def test_conv_transpose2d_matches_naive(n, ic, oc, size):
     np.testing.assert_allclose(y, ref, rtol=1e-12, atol=1e-12)
 
 
-def test_im2col_col2im_adjoint():
-    # <im2col(x), c> == <x, col2im(c)> pins col2im as the exact adjoint
-    rng = np.random.default_rng(6)
-    x = rng.normal(size=(2, 3, 8, 8))
-    cols = nnops.im2col(x, 4, 2, 1)
-    c = rng.normal(size=cols.shape)
-    lhs = np.sum(cols * c)
-    rhs = np.sum(x * nnops.col2im(c, 3, 8, 8, 4, 2, 1))
-    assert abs(lhs - rhs) < 1e-10
-
-
 # (in channels, out channels, input size) of each layer of the default
 # 64 px network
 ENCODER_LAYERS = [(2, 32, 64), (32, 64, 32), (64, 128, 16), (128, 256, 8)]
 DECODER_LAYERS = [(256, 128, 4), (128, 64, 8), (64, 32, 16), (32, 2, 32)]
 
 
-@pytest.mark.parametrize("ic,size", [(ic, size) for ic, _, size in ENCODER_LAYERS])
-def test_col2im_sums_taps_in_fixed_order(ic, size):
-    # the input gradient of each encoder layer at N=3, bit for bit against
-    # per-pixel adds in ascending (i, j) order
-    out = size // 2
-    cols = _rand((ic * 16, 3 * out * out), 11)
-    got = nnops.col2im(cols, ic, size, size, 4, 2, 1)
-    assert got.shape == (3, ic, size, size)
-    assert np.array_equal(got, naive_col2im(cols, ic, size, size, 4, 2, 1))
+def _transposed_conv_case(layer, n, seed, dtype):
+    """Input and (IC, OC, 4, 4) weights of a transposed conv of the 64 px net.
+
+    The input gradient of encoder layer i is the transposed conv of its
+    (N, out channels, size/2, size/2) output gradient by its own weights.
+    """
+    kind, i = layer[:-1], int(layer[-1])
+    if kind == "enc":
+        c, oc, size = ENCODER_LAYERS[i]
+        x_shape, w_shape = (n, oc, size // 2, size // 2), (oc, c, 4, 4)
+    else:
+        ic, oc, size = DECODER_LAYERS[i]
+        x_shape, w_shape = (n, ic, size, size), (ic, oc, 4, 4)
+    return _rand(x_shape, seed, dtype), _rand(w_shape, seed + 1, dtype)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("layer", [f"{kind}{i}" for kind in ("enc", "tdec")
+                                   for i in range(4)])
+def test_transposed_conv_matches_gemm_oracle(layer, dtype):
+    # every layer's input gradient (enc) and forward pass (tdec) at N=3, bit
+    # for bit against one gemm plus per-pixel adds in ascending (i, j) order
+    x, w = _transposed_conv_case(layer, 3, 11, dtype)
+    want = gemm_col2im_transpose(x, w, 2, 1)
+    if layer.startswith("enc"):
+        got = nnops.conv2d_input_grad(x, w, 2, 1)
+    else:
+        b = _rand((w.shape[1],), 13, dtype)
+        got = nnops.conv_transpose2d(x, w, b, 2, 1)
+        want = want + b[None, :, None, None]
+    assert got.dtype == dtype and got.shape == want.shape
+    assert np.array_equal(got, want)
+
+
+@settings(max_examples=25, deadline=None)
+@given(n=st.integers(1, 3), ic=st.integers(1, 6), oc=st.integers(1, 6),
+       ih=st.integers(1, 6), iw=st.integers(1, 6), seed=st.integers(0, 2**16),
+       dtype=st.sampled_from([np.float32, np.float64]))
+def test_transposed_conv_matches_gemm_oracle_any_shape(n, ic, oc, ih, iw, seed, dtype):
+    assume(ih != iw)
+    x = _rand((n, ic, ih, iw), seed, dtype)
+    w = _rand((ic, oc, 4, 4), seed + 1, dtype)
+    b = _rand((oc,), seed + 2, dtype)
+    want = gemm_col2im_transpose(x, w, 2, 1)
+    assert np.array_equal(nnops.conv2d_input_grad(x, w, 2, 1), want)
+    assert np.array_equal(nnops.conv_transpose2d(x, w, b, 2, 1),
+                          want + b[None, :, None, None])
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -87,7 +116,9 @@ def test_conv2d_backward_adjoint_and_fd():
     b = rng.normal(size=3)
     y, cols = nnops.conv2d(x, w, b, 2, 1)
     r = rng.normal(size=y.shape)  # loss = <y, r>
-    dx, dw, db = nnops.conv2d_backward(r, cols, w, x.shape, 2, 1)
+    dw, db = nnops.conv2d_backward(r, cols, w)
+    dx = nnops.conv2d_input_grad(r, w, 2, 1)
+    assert dx.shape == x.shape
     # adjoint identity for the input gradient
     assert abs(np.sum(y * r) - np.sum(x * dx) - np.sum(b * db)) < 1e-9
     # finite differences for a few weight entries

@@ -6,7 +6,7 @@ from oodflow.conformal import CalibrationSet
 from oodflow.trainer import TrainConfig
 from oodflow.vae import NumericError, VaeArchitecture
 
-from naive_ref import naive_decode, naive_encode
+from naive_ref import gemm_col2im_transpose, naive_decode, naive_encode
 
 
 def _flow_dataset(arch, n, seed=0):
@@ -201,6 +201,30 @@ def test_gradient_check_explicit_indices(tiny_arch):
     err = trainer.gradient_check(weights, sample,
                                  indices=[("mu_w", 0), ("dec_b", 3), ("enc0_w", 10)])
     assert err < 1e-3
+
+
+def test_backward_matches_gemm_col2im_oracle(monkeypatch):
+    # every gradient of one 32 px, N=7 step, bit for bit against the same
+    # step with each transposed conv (decoder forward, encoder input
+    # gradients) computed as one gemm plus per-pixel adds
+    arch = VaeArchitecture(input_size=32)
+    rng = np.random.default_rng(24)
+    params = vae.init_params(arch, rng)
+    x = np.stack(_flow_dataset(arch, 7, seed=7)).astype(np.float64)
+    noise = rng.standard_normal((7, arch.latent_dim))
+
+    def step():
+        cache = trainer._forward(params, arch, x, noise, 1.0)[3]
+        return trainer._backward(params, cache, 1.0)
+
+    got = step()
+    monkeypatch.setattr(nnops, "conv2d_input_grad", gemm_col2im_transpose)
+    monkeypatch.setattr(nnops, "conv_transpose2d", lambda h, w, b, s, p: (
+        gemm_col2im_transpose(h, w, s, p) + b[None, :, None, None]))
+    want = step()
+    assert sorted(got) == sorted(arch.tensor_shapes())
+    for name in want:
+        assert np.array_equal(got[name], want[name]), name
 
 
 # ---------------------------------------------------------------------------
