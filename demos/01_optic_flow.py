@@ -30,10 +30,6 @@ print(f"ground truth      (u, v) = ({dx:+.2f}, {dy:+.2f}) px/frame")
 print(f"estimated mean    (u, v) = ({flow[0].mean():+.2f}, {flow[1].mean():+.2f})")
 print(f"mean endpoint error      = {epe.mean():.3f} px (max {epe.max():.3f})")
 
-g = opticflow.gradients(texture, moved, params)
-print(f"gradient magnitudes: |ix| up to {np.abs(g.ix).max():.3f}, "
-      f"|it| up to {np.abs(g.it).max():.3f}")
-
 try:
     import matplotlib
 

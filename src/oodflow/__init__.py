@@ -17,7 +17,7 @@ from .gridio import (EpisodeManifest, FormatError, as_grid, read_fgrid,
 from .harness import (LatencyReport, Metrics, evaluate, grid_search,
                       load_corpus, measure_latency)
 from .localization import ActivationStats, activation_stats, overlay, render
-from .opticflow import FlowParams, GradientField, gradients, lucas_kanade
+from .opticflow import FlowParams, lucas_kanade
 from .synthdata import (AnomalySpec, Episode, SceneConfig, gen_benchmark,
                         gen_id_episode, gen_ood_episode, gen_texture)
 from .trainer import (TrainConfig, build_calibration, gradient_check,

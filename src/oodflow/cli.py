@@ -162,8 +162,7 @@ def _cmd_localize(args) -> None:
     if not 1 <= args.frame < len(frames):
         raise ValueError(f"--frame must be in [1, {len(frames) - 1}] "
                          f"(a decision needs the preceding frame)")
-    flow = opticflow.lucas_kanade(frames[args.frame - 1], frames[args.frame],
-                                  opticflow.FlowParams())
+    flow = opticflow.lucas_kanade(frames[args.frame - 1], frames[args.frame])
     out, _ = vae.score_flow(weights, flow)
     frame = frames[args.frame]
     overlay_map = localization.overlay(out.last_conv_activations, stats,
@@ -225,10 +224,8 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         _COMMANDS[args.command](args)
-    except FormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except (OSError, EOFError) as exc:
+    # FormatError is a ValueError, so it must be caught first
+    except (FormatError, OSError, EOFError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     except NumericError as exc:

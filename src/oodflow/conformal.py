@@ -20,7 +20,7 @@ of magnitude for small p-values.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
@@ -236,11 +236,11 @@ def detect_episode(frames, weights, cal: CalibrationSet, cfg: DetectorConfig,
 
 
 def write_curve_csv(path, curve: list[CurvePoint]) -> None:
-    """Dump a per-frame trace as CSV: frame, alpha, p, log_m, exceed_count."""
+    """Dump a per-frame trace as CSV, one column per CurvePoint field."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("frame,alpha,p,log_m,exceed_count\n")
+        fh.write(",".join(f.name for f in fields(CurvePoint)) + "\n")
         for pt in curve:
-            fh.write(f"{pt.frame},{pt.alpha!r},{pt.p!r},{pt.log_m!r},{pt.exceed_count}\n")
+            fh.write(",".join(map(repr, astuple(pt))) + "\n")
 
 
 def write_events_jsonl(path, events: list[DetectionEvent]) -> None:

@@ -50,10 +50,7 @@ def as_grid(data, channels: int | None = None) -> np.ndarray:
 
 def frame2d(grid) -> np.ndarray:
     """Return a single-channel grid as a 2-D (H, W) float32 array."""
-    g = as_grid(grid, channels=1) if np.asarray(grid).ndim == 3 else as_grid(grid)
-    if g.shape[0] != 1:
-        raise ValueError(f"expected a single-channel grid, got {g.shape[0]} channels")
-    return g[0]
+    return as_grid(grid, channels=1)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -106,25 +103,23 @@ def read_pgm(path) -> np.ndarray:
     return (data.astype(np.float32) / 255.0)[np.newaxis, :, :]
 
 
+def _write_pnm(path, magic: bytes, img: np.ndarray) -> None:
+    """Write (H, W) or pixel-major (H, W, 3) values in [0, 1] as 8-bit PNM."""
+    q = np.rint(np.clip(img, 0.0, 1.0) * 255.0).astype(np.uint8)
+    height, width = q.shape[:2]
+    with open(path, "wb") as fh:
+        fh.write(b"%s\n%d %d\n255\n" % (magic, width, height))
+        fh.write(q.tobytes())
+
+
 def write_pgm(path, grid) -> None:
     """Write a single-channel grid as binary PGM, quantizing [0, 1] to 8 bits."""
-    img = frame2d(grid)
-    q = np.rint(np.clip(img, 0.0, 1.0) * 255.0).astype(np.uint8)
-    height, width = q.shape
-    with open(path, "wb") as fh:
-        fh.write(b"P5\n%d %d\n255\n" % (width, height))
-        fh.write(q.tobytes())
+    _write_pnm(path, b"P5", frame2d(grid))
 
 
 def write_ppm(path, rgb) -> None:
     """Write a 3-channel grid in [0, 1] as binary PPM (P6, maxval 255)."""
-    img = as_grid(rgb, channels=3)
-    q = np.rint(np.clip(img, 0.0, 1.0) * 255.0).astype(np.uint8)
-    _, height, width = q.shape
-    with open(path, "wb") as fh:
-        fh.write(b"P6\n%d %d\n255\n" % (width, height))
-        # interleave channels pixel-major
-        fh.write(np.moveaxis(q, 0, -1).tobytes())
+    _write_pnm(path, b"P6", np.moveaxis(as_grid(rgb, channels=3), 0, -1))
 
 
 # ---------------------------------------------------------------------------
@@ -206,19 +201,34 @@ class EpisodeManifest:
             raise ValueError(f"fps must be finite and positive, got {self.fps}")
 
 
+def _is_int(x) -> bool:
+    # bool is a subclass of int, but a JSON true/false is not a count
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _read_json_object(path, what: str) -> dict:
+    """The JSON object in ``path``, where ``what`` names the file in errors.
+
+    Raises FormatError when the file is not JSON and ValueError when the
+    document is not an object.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except json.JSONDecodeError as exc:
+        raise FormatError(f"{what} is not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ValueError(f"{what} must be a JSON object")
+    return doc
+
+
 def read_manifest(path) -> EpisodeManifest:
     """Read and validate an episode manifest JSON document.
 
     Relative frame paths are resolved against the manifest's directory.
     """
     path = Path(path)
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"manifest is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ValueError("manifest must be a JSON object")
+    doc = _read_json_object(path, "manifest")
     for field in ("id", "frames", "label"):
         if field not in doc:
             raise ValueError(f"manifest missing required field {field!r}")
@@ -226,11 +236,10 @@ def read_manifest(path) -> EpisodeManifest:
     if not isinstance(frames, list) or not all(isinstance(f, str) for f in frames):
         raise ValueError("manifest 'frames' must be a list of paths")
     onset = doc.get("onset_frame")
-    # bool is a subclass of int, but a JSON true/false is not a count
-    if onset is not None and (isinstance(onset, bool) or not isinstance(onset, int)):
+    if onset is not None and not _is_int(onset):
         raise ValueError("onset_frame must be an integer")
     fps = doc.get("fps")
-    if fps is not None and (isinstance(fps, bool) or not isinstance(fps, (int, float))):
+    if fps is not None and not (_is_int(fps) or isinstance(fps, float)):
         raise ValueError("fps must be a number")
     base = path.parent
     resolved = tuple(base / f if not Path(f).is_absolute() else Path(f) for f in frames)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import time
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -81,14 +81,7 @@ def load_corpus(corpus_dir) -> list[EpisodeManifest]:
     corpus_dir = Path(corpus_dir)
     index_path = corpus_dir / "index.json"
     if index_path.exists():
-        try:
-            with open(index_path, "r", encoding="utf-8") as fh:
-                index = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise gridio.FormatError(f"corpus index is not valid JSON: {exc}") from exc
-        if not isinstance(index, dict):
-            raise ValueError("corpus index must be a JSON object")
-        rel_paths = index.get("episodes", [])
+        rel_paths = gridio._read_json_object(index_path, "corpus index").get("episodes", [])
         if not (isinstance(rel_paths, list) and all(isinstance(r, str) for r in rel_paths)):
             raise ValueError("corpus index field 'episodes' must be a list of strings")
         paths = [corpus_dir / rel for rel in rel_paths]
@@ -136,7 +129,7 @@ def _run_episodes(manifests, weights, cal, cfg) -> list[EpisodeRecord]:
             frames = load_frames(manifest)
             record.events, record.curve = conformal.detect_episode(
                 frames, weights, cal, cfg, episode_id=manifest.id)
-        except (OSError, EOFError, gridio.FormatError, ValueError) as exc:
+        except (OSError, EOFError, ValueError) as exc:
             warnings.warn(f"skipping unreadable episode {manifest.id}: {exc}")
             record.error = str(exc)
         records.append(record)
@@ -277,15 +270,10 @@ def save_calibration(path, cal: CalibrationSet,
         fh.write("\n")
 
 
-def _is_int(x) -> bool:
-    # bool is a subclass of int, but a JSON true/false is not a count
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
 def _numbers(doc: dict, key: str) -> np.ndarray:
     values = doc[key]
     if not isinstance(values, list) or not all(
-            _is_int(v) or isinstance(v, float) for v in values):
+            gridio._is_int(v) or isinstance(v, float) for v in values):
         raise ValueError(f"calibration field {key!r} must be a list of numbers")
     return np.asarray(values, dtype=np.float64)
 
@@ -296,21 +284,15 @@ def load_calibration(path):
     Raises FormatError when the file is not JSON and ValueError when a field
     is missing or has the wrong type or shape.
     """
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise gridio.FormatError(f"calibration file is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ValueError("calibration file must be a JSON object")
+    doc = gridio._read_json_object(path, "calibration file")
     for key in ("scores", "activation_shape", "activation_mean", "activation_std", "count"):
         if key not in doc:
             raise ValueError(f"calibration file missing field {key!r}")
     shape = doc["activation_shape"]
-    if not isinstance(shape, list) or not all(_is_int(d) and d >= 1 for d in shape):
+    if not isinstance(shape, list) or not all(gridio._is_int(d) and d >= 1 for d in shape):
         raise ValueError("calibration field 'activation_shape' must be a list of "
                          "positive integers")
-    if not _is_int(doc["count"]):
+    if not gridio._is_int(doc["count"]):
         raise ValueError("calibration field 'count' must be an integer")
     stats = localization.ActivationStats(
         mean=_numbers(doc, "activation_mean").reshape(shape),
@@ -320,34 +302,17 @@ def load_calibration(path):
     return CalibrationSet(scores=_numbers(doc, "scores")), stats
 
 
-def write_metrics_json(path, metrics: Metrics, threshold: float) -> None:
-    """Emit the evaluation summary in the fixed machine-readable schema."""
-    doc = {
-        "threshold": threshold,
-        "tp": metrics.tp,
-        "fp": metrics.fp,
-        "tn": metrics.tn,
-        "fn": metrics.fn,
-        "tpr": metrics.tpr,
-        "fpr": metrics.fpr,
-        "f1": metrics.f1,
-        "accuracy": metrics.accuracy,
-        "degenerate_f1": metrics.degenerate_f1,
-    }
+def _write_json(path, doc: dict) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2)
         fh.write("\n")
+
+
+def write_metrics_json(path, metrics: Metrics, threshold: float) -> None:
+    """Emit the evaluation summary: the threshold, then every Metrics field."""
+    _write_json(path, {"threshold": threshold, **asdict(metrics)})
 
 
 def write_latency_json(path, report: LatencyReport) -> None:
-    doc = {
-        "mean_ms": report.mean_ms,
-        "p95_ms": report.p95_ms,
-        "flow_ms": report.flow_ms,
-        "encode_ms": report.encode_ms,
-        "conformal_ms": report.conformal_ms,
-        "reps": report.reps,
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+    """Emit the latency report: every LatencyReport field, in order."""
+    _write_json(path, asdict(report))

@@ -33,6 +33,8 @@ class ActivationStats:
             raise ValueError("mean and std must have identical shapes")
         if self.count < 2:
             raise ValueError("activation statistics need at least 2 samples")
+        if not (np.all(np.isfinite(self.mean)) and np.all(np.isfinite(self.std))):
+            raise ValueError("activation mean and std must be finite")
         if np.any(self.std < 0):
             raise ValueError("std must be nonnegative")
 

@@ -38,16 +38,8 @@ class FlowParams:
             raise ValueError("presmooth_sigma must be >= 0")
 
 
-@dataclass(frozen=True)
-class GradientField:
-    """Spatial and temporal intensity derivatives of a frame pair."""
-
-    ix: np.ndarray
-    iy: np.ndarray
-    it: np.ndarray
-
-
 def _prepare_pair(frame_a, frame_b, params: FlowParams):
+    """Both frames as finite float64 (H, W) arrays of one shape, presmoothed."""
     a = frame2d(frame_a).astype(np.float64)
     b = frame2d(frame_b).astype(np.float64)
     if a.shape != b.shape:
@@ -62,26 +54,13 @@ def _derivatives(a: np.ndarray, b: np.ndarray):
     """(ix, iy, it) in float64 for two prepared frames.
 
     ix and iy are central differences (replicate padding at the borders) of
-    the frame average; it = b - a.
+    the frame average, which keeps them symmetric in the frame pair; it =
+    b - a.  Units: intensity per pixel for ix/iy, per frame for it.
     """
     padded = np.pad(0.5 * (a + b), 1, mode="edge")
     ix = (padded[1:-1, 2:] - padded[1:-1, :-2]) / 2.0
     iy = (padded[2:, 1:-1] - padded[:-2, 1:-1]) / 2.0
     return ix, iy, b - a
-
-
-def gradients(frame_a, frame_b, params: FlowParams = FlowParams()) -> GradientField:
-    """Estimate ix, iy (from the two-frame average) and it = frame_b - frame_a.
-
-    Spatial derivatives are central differences of the average of the two
-    (optionally presmoothed) frames; the average keeps them symmetric in the
-    frame pair.  Units: intensity per pixel for ix/iy, intensity per frame
-    for it.
-    """
-    ix, iy, it = _derivatives(*_prepare_pair(frame_a, frame_b, params))
-    return GradientField(
-        ix=ix.astype(np.float32), iy=iy.astype(np.float32), it=it.astype(np.float32)
-    )
 
 
 def lucas_kanade(frame_a, frame_b, params: FlowParams = FlowParams()) -> np.ndarray:
@@ -96,10 +75,7 @@ def lucas_kanade(frame_a, frame_b, params: FlowParams = FlowParams()) -> np.ndar
     padding at borders).  Output flow is in pixels per frame: u along the
     width axis, v along the height axis.
     """
-    a, b = _prepare_pair(frame_a, frame_b, params)
-    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
-        raise ValueError("frames contain non-finite values")
-    ix, iy, it = _derivatives(a, b)
+    ix, iy, it = _derivatives(*_prepare_pair(frame_a, frame_b, params))
 
     size = 2 * params.window_radius + 1
     area = float(size * size)

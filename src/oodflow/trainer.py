@@ -10,7 +10,7 @@ config) pair fixes the resulting weights bit-exactly.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
@@ -185,13 +185,11 @@ def train(dataset, config: TrainConfig, arch: VaeArchitecture,
 
 
 def write_training_log(path, log: list[EpochStats]) -> None:
-    """Emit the per-epoch loss log as CSV."""
+    """Emit the per-epoch loss log as CSV, one column per EpochStats field."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["epoch", "mean_total", "mean_recon", "mean_kl"])
-        for row in log:
-            writer.writerow([row.epoch, repr(row.mean_total), repr(row.mean_recon),
-                             repr(row.mean_kl)])
+        writer.writerow(f.name for f in fields(EpochStats))
+        writer.writerows(map(repr, astuple(row)) for row in log)
 
 
 # ---------------------------------------------------------------------------

@@ -40,6 +40,12 @@ class NumericError(ArithmeticError):
     """A computation produced non-finite values."""
 
 
+def _check_max_flow(max_flow: float) -> None:
+    # inf would scale every flow to zero, and NaN every flow to NaN
+    if not (max_flow > 0 and math.isfinite(max_flow)):
+        raise ValueError(f"max_flow must be finite and positive, got {max_flow}")
+
+
 @dataclass(frozen=True)
 class VaeArchitecture:
     """Fixed 4-layer conv family: kernel 4, stride 2, padding 1 per layer.
@@ -125,8 +131,7 @@ class VaeWeights:
     tensors: dict[str, np.ndarray] = field(repr=False)
 
     def __post_init__(self):
-        if self.max_flow <= 0:
-            raise ValueError("max_flow must be positive")
+        _check_max_flow(self.max_flow)
         shapes = self.arch.tensor_shapes()
         if set(self.tensors) != set(shapes):
             missing = set(shapes) - set(self.tensors)
@@ -287,8 +292,7 @@ def preprocess(flow: np.ndarray, arch: VaeArchitecture,
     max_flow.  The same max_flow must be used at training and inference; it
     is recorded in the weights file.
     """
-    if max_flow <= 0:
-        raise ValueError("max_flow must be positive")
+    _check_max_flow(max_flow)
     f = np.asarray(flow)
     if f.ndim != 3 or f.shape[0] != INPUT_CHANNELS:
         raise ValueError(f"flow must be ({INPUT_CHANNELS}, H, W), got {f.shape}")

@@ -115,6 +115,8 @@ def test_bench_report(pipeline, tmp_path):
                    "--reps", "10", "--warmup", "1", "--out", str(out)])
     assert rc == 0
     doc = json.loads(out.read_text())
+    assert list(doc) == ["mean_ms", "p95_ms", "flow_ms", "encode_ms",
+                         "conformal_ms", "reps"]
     assert doc["reps"] == 10
     assert all(doc[k] > 0 for k in ("mean_ms", "p95_ms", "flow_ms",
                                     "encode_ms", "conformal_ms"))
@@ -211,6 +213,15 @@ def test_exit_code_malformed_corpus_index(pipeline, tmp_path, index, code):
                    "--weights", str(pipeline["weights"]),
                    "--cal", str(pipeline["cal"]), "--out", str(tmp_path / "m.json")])
     assert rc == code
+
+
+def test_exit_code_non_finite_max_flow(pipeline, tmp_path):
+    weights = tmp_path / "weights.bin"
+    rc = cli.main(["train", "--corpus", str(pipeline["corpus"]),
+                   "--out", str(weights), "--epochs", "1", "--seed", "3",
+                   "--input-size", "32", "--max-flow", "inf"])
+    assert rc == cli.EXIT_VALIDATION
+    assert not weights.exists()
 
 
 def test_exit_code_non_finite_threshold(pipeline, tmp_path):

@@ -67,6 +67,16 @@ def test_read_pgm_errors(tmp_path, payload, err):
         gridio.read_pgm(p)
 
 
+def test_write_ppm_golden_bytes(tmp_path):
+    levels = np.arange(12, dtype=np.float32).reshape(3, 2, 2) * 20 / 255
+    p = tmp_path / "rgb.ppm"
+    gridio.write_ppm(p, levels)
+    # pixel-major: (r, g, b) of (0, 0), (0, 1), (1, 0), (1, 1)
+    payload = bytes(20 * (c * 4 + y * 2 + x)
+                    for y in range(2) for x in range(2) for c in range(3))
+    assert p.read_bytes() == b"P6\n2 2\n255\n" + payload
+
+
 # ---------------------------------------------------------------------------
 # FGRID
 # ---------------------------------------------------------------------------

@@ -211,9 +211,11 @@ _CAL_DOC = {"scores": [0.5, 1.0], "activation_shape": [1, 1, 2],
     (json.dumps({**_CAL_DOC, "activation_std": [1.0]}), "reshape"),
     (json.dumps({**_CAL_DOC, "count": [2]}), "'count'"),
     (json.dumps({**_CAL_DOC, "count": True}), "'count'"),
+    (json.dumps({**_CAL_DOC, "activation_mean": [float("nan"), 0.0]}), "finite"),
+    (json.dumps({**_CAL_DOC, "activation_std": [float("inf"), 1.0]}), "finite"),
 ], ids=["missing", "not-json", "not-object", "scores-object", "scores-string",
         "shape-string", "shape-null", "shape-float", "mean-null", "std-size",
-        "count-list", "count-bool"])
+        "count-list", "count-bool", "mean-nan", "std-infinity"])
 def test_calibration_file_missing_field(tmp_path, text, match):
     p = tmp_path / "cal.json"
     p.write_text(text)

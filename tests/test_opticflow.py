@@ -21,51 +21,49 @@ def _shifted_pair(seed, size=64):
 
 
 # ---------------------------------------------------------------------------
-# gradients
+# derivatives (the first half of lucas_kanade)
 # ---------------------------------------------------------------------------
+
+def _derivatives(a, b):
+    """(ix, iy, it) of an unsmoothed frame pair, as lucas_kanade computes them."""
+    return opticflow._derivatives(*opticflow._prepare_pair(a, b, NO_SMOOTH))
+
 
 def test_gradients_constant_frames_all_zero():
     f = np.full((16, 16), 0.5, dtype=np.float32)
-    g = opticflow.gradients(f, f, NO_SMOOTH)
-    assert not g.ix.any() and not g.iy.any() and not g.it.any()
+    ix, iy, it = _derivatives(f, f)
+    assert not ix.any() and not iy.any() and not it.any()
 
 
 def test_gradients_ramp_analytic():
     w = 32
     frame = (np.arange(w, dtype=np.float64) / w)[None, :].repeat(w, axis=0)
-    g = opticflow.gradients(frame, frame, NO_SMOOTH)
-    interior = g.ix[:, 1:-1]
-    np.testing.assert_allclose(interior, 1.0 / w, rtol=1e-5)
-    assert not g.it.any()
+    ix, _, it = _derivatives(frame, frame)
+    np.testing.assert_allclose(ix[:, 1:-1], 1.0 / w, rtol=1e-5)
+    assert not it.any()
     # replicate padding halves the border derivative
-    np.testing.assert_allclose(g.ix[:, 0], 0.5 / w, rtol=1e-5)
+    np.testing.assert_allclose(ix[:, 0], 0.5 / w, rtol=1e-5)
 
 
 def test_gradients_temporal_shift():
     rng = np.random.default_rng(0)
     a = rng.uniform(size=(12, 12))
     b = a + 0.1
-    g = opticflow.gradients(a, b, NO_SMOOTH)
-    np.testing.assert_allclose(g.it, 0.1, atol=1e-6)
-    ga = opticflow.gradients(a, a, NO_SMOOTH)
-    np.testing.assert_allclose(g.ix, ga.ix, atol=1e-6)
-    np.testing.assert_allclose(g.iy, ga.iy, atol=1e-6)
+    ix, iy, it = _derivatives(a, b)
+    np.testing.assert_allclose(it, 0.1, atol=1e-6)
+    ix_a, iy_a, _ = _derivatives(a, a)
+    np.testing.assert_allclose(ix, ix_a, atol=1e-6)
+    np.testing.assert_allclose(iy, iy_a, atol=1e-6)
 
 
 def test_gradients_brightness_shift_insensitivity():
     rng = np.random.default_rng(1)
     a = rng.uniform(size=(16, 16))
     b = rng.uniform(size=(16, 16))
-    g0 = opticflow.gradients(a, b, NO_SMOOTH)
-    g1 = opticflow.gradients(a + 0.3, b + 0.3, NO_SMOOTH)
-    np.testing.assert_allclose(g1.ix, g0.ix, atol=1e-6)
-    np.testing.assert_allclose(g1.iy, g0.iy, atol=1e-6)
-    np.testing.assert_allclose(g1.it, g0.it, atol=1e-6)
-
-
-def test_gradients_dimension_mismatch():
-    with pytest.raises(ValueError):
-        opticflow.gradients(np.zeros((4, 4)), np.zeros((5, 4)))
+    g0 = _derivatives(a, b)
+    g1 = _derivatives(a + 0.3, b + 0.3)
+    for d1, d0 in zip(g1, g0):
+        np.testing.assert_allclose(d1, d0, atol=1e-6)
 
 
 # ---------------------------------------------------------------------------

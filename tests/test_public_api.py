@@ -5,6 +5,9 @@ since re-exporting is not calling), and each public method or property of
 a public class, must be referenced somewhere in the package, the demos or
 the benchmark.  Otherwise tests check code that nothing runs, and the code
 that does run can change unseen.
+
+The count of settable values (defaulted public parameters and dataclass
+fields, optional CLI flags) may not grow either.
 """
 
 import ast
@@ -80,3 +83,38 @@ def test_allowlist_is_current():
     used = _referenced_names()
     assert ALLOWED <= defined
     assert not ALLOWED & used, "an allowlisted name now has a caller; drop it"
+
+
+def _defaulted_params(fn):
+    return len(fn.args.defaults) + sum(d is not None for d in fn.args.kw_defaults)
+
+
+def _settable_values():
+    """Defaulted public parameters and dataclass fields, and optional CLI flags."""
+    count = 0
+    for path in _modules():
+        tree = ast.parse(path.read_text())
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+                count += _defaulted_params(node)
+            elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+                count += sum(_defaulted_params(item) for item in node.body
+                             if isinstance(item, ast.FunctionDef)
+                             and not item.name.startswith("_"))
+                if any("dataclass" in ast.unparse(d) for d in node.decorator_list):
+                    count += sum(isinstance(item, ast.AnnAssign) and item.value is not None
+                                 for item in node.body)
+        if path.name == "cli.py":
+            for node in ast.walk(tree):
+                if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                        and node.func.attr == "add_argument"
+                        and str(node.args[0].value).startswith("--")
+                        and not any(k.arg == "required" and k.value.value is True
+                                    for k in node.keywords)):
+                    count += 1
+    return count
+
+
+def test_settable_values_do_not_grow():
+    # raising this bound needs a reason, stated in CHANGES.md
+    assert _settable_values() <= 72

@@ -240,9 +240,11 @@ def test_preprocess_downsample_block_mean():
     np.testing.assert_allclose(out[0], blocks, rtol=1e-5, atol=1e-7)
 
 
-def test_preprocess_rejects_bad_max_flow(tiny_arch):
-    with pytest.raises(ValueError):
-        vae.preprocess(np.zeros((2, 16, 16), dtype=np.float32), tiny_arch, 0.0)
+@pytest.mark.parametrize("max_flow", [0.0, -1.0, np.inf, np.nan],
+                         ids=["zero", "negative", "inf", "nan"])
+def test_preprocess_rejects_bad_max_flow(tiny_arch, max_flow):
+    with pytest.raises(ValueError, match="max_flow"):
+        vae.preprocess(np.zeros((2, 16, 16), dtype=np.float32), tiny_arch, max_flow)
 
 
 # ---------------------------------------------------------------------------
@@ -284,6 +286,17 @@ def test_load_weights_checks_header_sizes_before_reading(tmp_path, header):
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("max_flow", [0.0, np.inf], ids=["zero", "inf"])
+def test_load_weights_rejects_bad_max_flow(tmp_path, tiny_arch, max_flow):
+    p = tmp_path / "w.bin"
+    vae.save_weights(p, vae.init_weights(tiny_arch, 0))
+    data = bytearray(p.read_bytes())
+    data[16:20] = struct.pack("<f", max_flow)  # after magic, version, size, latent
+    p.write_bytes(bytes(data))
+    with pytest.raises(ValueError, match="max_flow"):
+        vae.load_weights(p)
 
 
 def test_load_weights_bad_magic_and_trailing(tmp_path, tiny_arch):
