@@ -255,16 +255,16 @@ def measure_latency(frames, weights, cal: CalibrationSet,
 # Artifact files
 # ---------------------------------------------------------------------------
 
+_CALIBRATION_FIELDS = ("scores", "activation_shape", "activation_mean",
+                       "activation_std", "count")
+
+
 def save_calibration(path, cal: CalibrationSet,
                      stats: localization.ActivationStats) -> None:
     """Write calibration scores plus activation statistics as one JSON file."""
-    doc = {
-        "scores": [float(s) for s in cal.scores],
-        "activation_shape": list(stats.mean.shape),
-        "activation_mean": stats.mean.ravel().tolist(),
-        "activation_std": stats.std.ravel().tolist(),
-        "count": stats.count,
-    }
+    doc = dict(zip(_CALIBRATION_FIELDS, (
+        [float(s) for s in cal.scores], list(stats.mean.shape),
+        stats.mean.ravel().tolist(), stats.std.ravel().tolist(), stats.count)))
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, sort_keys=True)
         fh.write("\n")
@@ -285,7 +285,7 @@ def load_calibration(path):
     is missing or has the wrong type or shape.
     """
     doc = gridio._read_json_object(path, "calibration file")
-    for key in ("scores", "activation_shape", "activation_mean", "activation_std", "count"):
+    for key in _CALIBRATION_FIELDS:
         if key not in doc:
             raise ValueError(f"calibration file missing field {key!r}")
     shape = doc["activation_shape"]

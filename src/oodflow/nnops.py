@@ -168,8 +168,13 @@ def bilinear_resize(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     x1 = np.minimum(x0 + 1, w - 1)
     wy = (ys - y0)[None, :, None]
     wx = (xs - x0)[None, None, :]
-    src = img.astype(np.float64, copy=False)
-    top = (1 - wx) * src[:, y0][:, :, x0] + wx * src[:, y0][:, :, x1]
-    bot = (1 - wx) * src[:, y1][:, :, x0] + wx * src[:, y1][:, :, x1]
-    out = (1 - wy) * top + wy * bot
-    return out.astype(img.dtype, copy=False)
+    # blend each sampled source row horizontally once, then the rows vertically
+    rows, which = np.unique(np.concatenate([y0, y1]), return_inverse=True)
+    src = img[:, rows].astype(np.float64, copy=False)
+    blend = (1 - wx) * src[:, :, x0] + wx * src[:, :, x1]
+    top = blend[:, which[:out_h]]
+    bot = blend[:, which[out_h:]]
+    top *= 1 - wy
+    bot *= wy
+    top += bot
+    return top.astype(img.dtype, copy=False)

@@ -5,9 +5,11 @@
 Run it in two checkouts and diff the outputs: equal lines mean the two
 compute the same bits.  It covers the loss terms and all gradients of one
 forward and backward pass at 32 px (N=7) and 64 px (N=32), a 2-epoch
-training run's final weights and CSV log, and ``encode_batch`` and
-``activation_stats`` on the trained weights.  The inputs are synthetic
-optic-flow fields.  pytest does not collect this file.
+training run's final weights and CSV log, ``encode_batch``,
+``activation_stats`` and 256 px ``localization.overlay`` maps on the
+trained weights, and the Lucas-Kanade flows of one 256 px episode, streamed
+in order and pair by pair in reverse, with their ``vae.preprocess`` inputs.
+The inputs are synthetic.  pytest does not collect this file.
 """
 
 from __future__ import annotations
@@ -66,6 +68,20 @@ def _training(size: int, seed: int) -> None:
     stats = localization.activation_stats(weights, held_out)
     print(f"train{size} activation_stats.mean {_sha(stats.mean)}")
     print(f"train{size} activation_stats.std {_sha(stats.std)}")
+    for i, acts in enumerate(vae.encode_batch(weights, np.stack(held_out[:3]))[2]):
+        print(f"train{size} overlay256.{i} {_sha(localization.overlay(acts, stats, 256))}")
+
+
+def _stream(size: int, seed: int) -> None:
+    """In order, each pair reuses its first frame's blur; reversed, none does."""
+    arch = vae.VaeArchitecture(input_size=64)
+    frames = synthdata.gen_id_episode(synthdata.SceneConfig(size=size, seed=seed)).frames
+    pairs = list(enumerate(zip(frames, frames[1:])))
+    for order, seq in (("in_order", pairs), ("reversed", pairs[::-1])):
+        for i, (a, b) in seq:
+            flow = opticflow.lucas_kanade(a, b)
+            print(f"stream{size} {order}.flow.{i} {_sha(flow)}")
+            print(f"stream{size} {order}.preprocess.{i} {_sha(vae.preprocess(flow, arch))}")
 
 
 def main() -> None:
@@ -73,6 +89,7 @@ def main() -> None:
     _step("step64", 64, 32, 12)
     _training(32, 13)
     _training(64, 14)
+    _stream(256, 15)
 
 
 if __name__ == "__main__":

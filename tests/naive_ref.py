@@ -2,8 +2,8 @@
 straightforward float64 forward passes (deliberately unoptimized loops,
 no im2col/gemm machinery), a per-pixel col2im and the transposed conv it
 makes from one plain gemm, a dense-grid trapezoid integrator for the
-mixture martingale, and the closed-form tail of its mean under uniform
-p-values."""
+mixture martingale, the closed-form tail of its mean under uniform
+p-values, and per-pixel Lucas-Kanade flow and bilinear resizing."""
 
 import numpy as np
 
@@ -137,3 +137,90 @@ def naive_decode(weights, z):
         if i < 3:
             h = np.maximum(h, 0.0)
     return h[0]
+
+
+def _clamp(i, n):
+    return min(max(i, 0), n - 1)
+
+
+def _naive_gaussian(img, sigma, truncate=4.0):
+    """Separable Gaussian blur, rows then columns, with replicate borders.
+
+    The kernel has radius int(truncate * sigma + 0.5) and sums to 1.
+    """
+    radius = int(truncate * sigma + 0.5)
+    taps = [np.exp(-0.5 * (t / sigma) ** 2) for t in range(-radius, radius + 1)]
+    taps = [t / sum(taps) for t in taps]
+    h, w = img.shape
+    out = img
+    for axis in (0, 1):
+        src, out = out, np.zeros((h, w))
+        for y in range(h):
+            for x in range(w):
+                for t, wt in zip(range(-radius, radius + 1), taps):
+                    yy, xx = (_clamp(y + t, h), x) if axis == 0 else (y, _clamp(x + t, w))
+                    out[y, x] += wt * src[yy, xx]
+    return out
+
+
+def naive_lucas_kanade(frame_a, frame_b, radius=2, lam=1e-3, sigma=1.0):
+    """Reference regularized Lucas-Kanade flow, one pixel at a time.
+
+    Blur both frames, take central differences of their mean and the frame
+    difference (replicate borders), sum the gradient products over a
+    (2 radius + 1)^2 window (replicate borders) and solve each 2x2 system
+    by Cramer's rule.  Returns the float64 (2, H, W) flow (u, v).
+    """
+    a = np.asarray(frame_a, dtype=np.float64)
+    b = np.asarray(frame_b, dtype=np.float64)
+    if sigma > 0:
+        a, b = _naive_gaussian(a, sigma), _naive_gaussian(b, sigma)
+    h, w = a.shape
+    m = 0.5 * (a + b)
+    ix, iy, it = np.zeros((h, w)), np.zeros((h, w)), b - a
+    for y in range(h):
+        for x in range(w):
+            ix[y, x] = (m[y, _clamp(x + 1, w)] - m[y, _clamp(x - 1, w)]) / 2
+            iy[y, x] = (m[_clamp(y + 1, h), x] - m[_clamp(y - 1, h), x]) / 2
+    flow = np.zeros((2, h, w))
+    for y in range(h):
+        for x in range(w):
+            sxx = syy = sxy = sxt = syt = 0.0
+            for dy in range(-radius, radius + 1):
+                for dx in range(-radius, radius + 1):
+                    yy, xx = _clamp(y + dy, h), _clamp(x + dx, w)
+                    gx, gy, gt = ix[yy, xx], iy[yy, xx], it[yy, xx]
+                    sxx += gx * gx
+                    syy += gy * gy
+                    sxy += gx * gy
+                    sxt += gx * gt
+                    syt += gy * gt
+            sxx, syy = sxx + lam, syy + lam
+            det = sxx * syy - sxy * sxy
+            if not det > 0:
+                det = 1.0
+            flow[0, y, x] = (sxy * syt - syy * sxt) / det
+            flow[1, y, x] = (sxy * sxt - sxx * syt) / det
+    return flow
+
+
+def naive_bilinear_resize(img, out_h, out_w):
+    """Reference half-pixel-center bilinear resize of (C, H, W), one output
+    pixel at a time, in float64, cast back to the input dtype."""
+    c, h, w = img.shape
+    out = np.zeros((c, out_h, out_w), dtype=img.dtype)
+    for i in range(out_h):
+        sy = min(max((i + 0.5) * (h / out_h) - 0.5, 0.0), h - 1.0)
+        y0 = int(np.floor(sy))
+        y1, wy = min(y0 + 1, h - 1), sy - y0
+        for j in range(out_w):
+            sx = min(max((j + 0.5) * (w / out_w) - 0.5, 0.0), w - 1.0)
+            x0 = int(np.floor(sx))
+            x1, wx = min(x0 + 1, w - 1), sx - x0
+            for ch in range(c):
+                p00, p01, p10, p11 = (float(img[ch, y, x]) for y, x in
+                                      ((y0, x0), (y0, x1), (y1, x0), (y1, x1)))
+                top = (1 - wx) * p00 + wx * p01
+                bot = (1 - wx) * p10 + wx * p11
+                out[ch, i, j] = (1 - wy) * top + wy * bot
+    return out

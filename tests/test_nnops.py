@@ -5,7 +5,8 @@ from hypothesis import strategies as st
 
 from oodflow import nnops
 
-from naive_ref import gemm_col2im_transpose, naive_conv2d, naive_conv_transpose2d
+from naive_ref import (gemm_col2im_transpose, naive_bilinear_resize, naive_conv2d,
+                       naive_conv_transpose2d)
 
 
 def _rand(shape, seed, dtype=np.float64):
@@ -207,3 +208,23 @@ def test_bilinear_preserves_constants():
     img = np.full((3, 5, 5), 2.5)
     out = nnops.bilinear_resize(img, 17, 9)
     np.testing.assert_allclose(out, 2.5, rtol=1e-12)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("src,out", [
+    ((1, 4, 4), (64, 64)),  # up, as the overlay does
+    ((2, 32, 32), (8, 8)),  # down, as preprocess does
+    ((2, 9, 14), (5, 23)),  # non-square, down in y and up in x
+    ((3, 6, 5), (13, 4)),
+    ((1, 1, 1), (3, 5)),  # 1-pixel source
+    ((2, 1, 7), (4, 3)),
+    ((1, 7, 1), (2, 6)),
+    ((2, 8, 6), (1, 1)),  # 1-pixel output
+    ((1, 5, 9), (1, 4)),
+    ((1, 5, 9), (6, 1)),
+])
+def test_bilinear_matches_per_pixel_oracle(src, out, dtype):
+    img = _rand(src, seed=sum(src) + sum(out), dtype=dtype)
+    got = nnops.bilinear_resize(img, *out)
+    assert got.dtype == dtype
+    np.testing.assert_array_equal(got, naive_bilinear_resize(img, *out))

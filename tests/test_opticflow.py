@@ -1,8 +1,14 @@
+import hashlib
+import sys
+import threading
+
 import numpy as np
 import pytest
 
 from oodflow import opticflow, synthdata
 from oodflow.opticflow import FlowParams
+
+from naive_ref import naive_lucas_kanade
 
 
 NO_SMOOTH = FlowParams(presmooth_sigma=0.0)
@@ -125,3 +131,146 @@ def test_flow_params_validation():
         FlowParams(regularization=-1.0)
     with pytest.raises(ValueError):
         FlowParams(presmooth_sigma=-0.5)
+
+
+# sha256 of the float32 flow bytes of a seeded random pair, with the default
+# parameters and with presmooth_sigma=0, as the per-call implementation that
+# blurred both frames and filtered each window sum separately computed them
+TINY_FLOWS = {
+    (1, 7): ("012f5abee8700b492e6d0ef65e989ddb36545197ccc4072c7d11b5a7b0c110f2",
+             "9fe5f90f9d7d7140c3469933bf9c848452da3e96a72c6a457bebf6f816147370"),
+    (7, 1): ("d7abc720b10bf30cc9144f3f3c7f8ba5ef0bb271f4d74965ada261302ddcde5e",
+             "dc53ae65f3508c7ab3a89e4e9a93a90465cdc6142ce390ebf7984e03a6b7a2d0"),
+    (1, 1): ("af5570f5a1810b7af78caf4bc70a660f0df51e42baf91d4de5b2328de0e83dfc",
+             "af5570f5a1810b7af78caf4bc70a660f0df51e42baf91d4de5b2328de0e83dfc"),
+    (2, 2): ("a4c242e2cd00b0debbb3037c71302b46a159e2b02af82222c45f1c328a7ef904",
+             "2f2bfbdced08eaba6d61f3e4dfa78bb3bcb98f88b4f5b6bd6c1b5714e5b765fa"),
+}
+
+
+@pytest.mark.parametrize("shape", list(TINY_FLOWS))
+def test_flow_tiny_frames_match_recorded(shape):
+    a, b = np.random.default_rng(shape).uniform(size=(2,) + shape).astype(np.float32)
+    for params, digest in zip((FlowParams(), NO_SMOOTH), TINY_FLOWS[shape]):
+        flow = opticflow.lucas_kanade(a, b, params)
+        assert flow.shape == (2,) + shape and flow.dtype == np.float32
+        assert hashlib.sha256(flow.tobytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("shape,params", [
+    ((16, 16), FlowParams()),
+    ((37, 53), FlowParams()),
+    ((37, 53), FlowParams(window_radius=3, regularization=0.05, presmooth_sigma=0.6)),
+    ((1, 9), FlowParams()),
+    ((11, 13), NO_SMOOTH),
+])
+def test_flow_matches_per_pixel_oracle(shape, params):
+    rng = np.random.default_rng(sum(shape))
+    a = rng.uniform(size=shape).astype(np.float32)
+    b = np.roll(a, 1, axis=-1) + rng.normal(0.0, 0.05, size=shape).astype(np.float32)
+    want = naive_lucas_kanade(a, b, radius=params.window_radius,
+                              lam=params.regularization, sigma=params.presmooth_sigma)
+    np.testing.assert_allclose(opticflow.lucas_kanade(a, b, params), want,
+                               rtol=1e-6, atol=1e-6)
+
+
+# ---------------------------------------------------------------------------
+# the blur memo: one blur per streamed frame, never a stale one
+# ---------------------------------------------------------------------------
+
+def _episode_frames(seed, size=32):
+    cfg = synthdata.SceneConfig(size=size, episode_length=8, seed=seed)
+    return [f.astype(np.float32) for f in synthdata.gen_id_episode(cfg).frames]
+
+
+def _cold(a, b, params=FlowParams()):
+    opticflow._last_blur = None
+    return opticflow.lucas_kanade(a, b, params)
+
+
+def _stream(frames, params=FlowParams()):
+    return [opticflow.lucas_kanade(a, b, params) for a, b in zip(frames, frames[1:])]
+
+
+def _assert_same_flows(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.tobytes() == w.tobytes()
+
+
+def test_memo_stream_matches_cold_flows(monkeypatch):
+    frames = _episode_frames(seed=21)
+    cold = [_cold(frames[i], frames[i + 1]) for i in reversed(range(len(frames) - 1))]
+    blurs = []
+    blur = opticflow.gaussian_filter
+
+    def counting_blur(*args, **kwargs):
+        blurs.append(args[0].shape)
+        return blur(*args, **kwargs)
+
+    monkeypatch.setattr(opticflow, "gaussian_filter", counting_blur)
+    opticflow._last_blur = None
+    _assert_same_flows(_stream(frames), cold[::-1])
+    assert len(blurs) == len(frames)  # each streamed frame is blurred once
+
+
+def test_memo_sees_a_frame_changed_in_place():
+    a, b, c = _episode_frames(seed=22)[:3]
+    opticflow.lucas_kanade(a, b)
+    b[:] = np.flipud(b)  # the memo holds b's old bits
+    got = opticflow.lucas_kanade(b, c)
+    assert got.tobytes() == _cold(b, c).tobytes()
+
+
+@pytest.mark.parametrize("second", [FlowParams(presmooth_sigma=2.0), NO_SMOOTH])
+def test_memo_never_reuses_another_sigma(second):
+    a, b, c = _episode_frames(seed=23)[:3]
+    opticflow.lucas_kanade(a, b)
+    got = opticflow.lucas_kanade(b, c, second)
+    assert got.tobytes() == _cold(b, c, second).tobytes()
+    opticflow.lucas_kanade(a, b, second)
+    got = opticflow.lucas_kanade(b, c)
+    assert got.tobytes() == _cold(b, c).tobytes()
+
+
+def test_memo_threads_streaming_episodes_match_serial():
+    # more threads than cores, switching often; two episodes, each streamed
+    # by two threads, so a torn memo entry would pair one frame's bits with
+    # another frame's blur
+    episodes = [_episode_frames(seed=24), _episode_frames(seed=25)] * 2
+    serial = [[f.tobytes() for f in _stream(frames)] for frames in episodes]
+    runs, mismatches = [0] * len(episodes), [0] * len(episodes)
+    start = threading.Barrier(len(episodes))
+
+    def worker(i):
+        start.wait()
+        for _ in range(200):
+            flows = _stream(episodes[i])
+            mismatches[i] += sum(f.tobytes() != w for f, w in zip(flows, serial[i]))
+            runs[i] += 1
+
+    threads = [threading.Thread(target=worker, args=(i,)) for i in range(len(episodes))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert runs == [200] * len(episodes)
+    assert mismatches == [0] * len(episodes)
+
+
+def test_memo_flow_is_fresh_and_writable():
+    a, b, c = _episode_frames(seed=26)[:3]
+    want = _cold(b, c)
+    flow = _cold(a, b)
+    memo = opticflow._last_blur
+    assert flow.flags.writeable and flow.flags.owndata
+    assert not any(np.shares_memory(flow, m) for m in memo[1:])
+    assert not memo[2].flags.writeable
+    flow[:] = 7.0
+    assert opticflow.lucas_kanade(b, c).tobytes() == want.tobytes()
