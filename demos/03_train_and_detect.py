@@ -21,13 +21,13 @@ os.makedirs(OUT_DIR, exist_ok=True)
 
 SIZE = 32
 arch = vae.VaeArchitecture(input_size=SIZE)
+flow_params = opticflow.FlowParams()
 
 print("building the training set (flows from 4 ID episodes)...")
 flows = []
 for i in range(4):
     ep = synthdata.gen_id_episode(synthdata.SceneConfig(size=SIZE, seed=300 + i))
-    for a, b in zip(ep.frames, ep.frames[1:]):
-        flows.append(vae.preprocess(opticflow.lucas_kanade(a, b), arch))
+    flows.extend(vae.preprocess(opticflow.flow_sequence(ep.frames, flow_params), arch))
 train_part, cal_part = trainer.split_calibration(flows, 0.2, seed=1)
 
 print(f"training on {len(train_part)} flows, holding out {len(cal_part)}...")

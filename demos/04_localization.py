@@ -20,13 +20,13 @@ os.makedirs(OUT_DIR, exist_ok=True)
 
 SIZE = 64
 arch = vae.VaeArchitecture(input_size=SIZE)
+flow_params = opticflow.FlowParams()
 
 print("training (6 ID episodes, 12 epochs)...")
 flows = []
 for i in range(6):
     ep = synthdata.gen_id_episode(synthdata.SceneConfig(size=SIZE, seed=400 + i))
-    for a, b in zip(ep.frames, ep.frames[1:]):
-        flows.append(vae.preprocess(opticflow.lucas_kanade(a, b), arch))
+    flows.extend(vae.preprocess(opticflow.flow_sequence(ep.frames, flow_params), arch))
 train_part, cal_part = trainer.split_calibration(flows, 0.2, seed=2)
 weights, _ = trainer.train(train_part, trainer.TrainConfig(epochs=12, seed=2), arch)
 cal = trainer.build_calibration(weights, cal_part)

@@ -208,13 +208,22 @@ def events_from_curve(log_ms, cfg: DetectorConfig, episode_id: str = "",
     return events
 
 
+def _flow_chunks(frames: list, params: opticflow.FlowParams):
+    """The flows of consecutive frame pairs, vae.SCORE_CHUNK pairs at a time."""
+    for start in range(0, len(frames) - 1, vae.SCORE_CHUNK):
+        yield opticflow.flow_sequence(frames[start:start + vae.SCORE_CHUNK + 1], params)
+
+
 def detect_episode(frames, weights, cal: CalibrationSet, cfg: DetectorConfig,
                    episode_id: str = ""):
     """Run the full pipeline over an ordered frame sequence.
 
     For each consecutive frame pair: optic flow, preprocessing, encoding,
-    KL scoring, detector step.  Decisions are indexed by the later frame of
-    each pair (the first curve point is frame 1).  Returns (events, curve).
+    KL scoring, detector step.  Pairs are scored vae.SCORE_CHUNK at a time,
+    with one flow solve and one encoder batch per chunk, and then stepped in
+    order; every number is bit for bit what the one-pair calls give.
+    Decisions are indexed by the later frame of each pair (the first curve
+    point is frame 1).  Returns (events, curve).
     """
     frames = list(frames)
     if len(frames) < 2:
@@ -222,16 +231,16 @@ def detect_episode(frames, weights, cal: CalibrationSet, cfg: DetectorConfig,
     state = DetectorState(frame_index=1)
     events: list[DetectionEvent] = []
     curve: list[CurvePoint] = []
-    for t in range(1, len(frames)):
-        flow = opticflow.lucas_kanade(frames[t - 1], frames[t])
-        _, alpha = vae.score_flow(weights, flow)
-        frame_label = state.frame_index
-        state, event = step(state, alpha, cal, cfg, episode_id)
-        curve.append(CurvePoint(frame=frame_label, alpha=alpha,
-                                p=state.p_window[-1], log_m=state.log_m,
-                                exceed_count=state.exceed_count))
-        if event is not None:
-            events.append(event)
+    for flows in _flow_chunks(frames, opticflow.FlowParams()):
+        x = vae.preprocess(flows, weights.arch, weights.max_flow)
+        for alpha in vae.score_batch(weights, x)[3].tolist():
+            frame_label = state.frame_index
+            state, event = step(state, alpha, cal, cfg, episode_id)
+            curve.append(CurvePoint(frame=frame_label, alpha=alpha,
+                                    p=state.p_window[-1], log_m=state.log_m,
+                                    exceed_count=state.exceed_count))
+            if event is not None:
+                events.append(event)
     return events, curve
 
 

@@ -103,16 +103,14 @@ def corpus_flow_dataset(manifests, flow_params: opticflow.FlowParams,
     """Preprocessed flow grids from every consecutive frame pair.
 
     Only ID-labeled episodes contribute, which is what both training and
-    calibration require.
+    calibration require.  Flows are solved vae.SCORE_CHUNK pairs at a time.
     """
     dataset: list[np.ndarray] = []
     for manifest in manifests:
         if manifest.label != gridio.LABEL_ID:
             continue
-        frames = load_frames(manifest)
-        for a, b in zip(frames, frames[1:]):
-            flow = opticflow.lucas_kanade(a, b, flow_params)
-            dataset.append(vae.preprocess(flow, arch, max_flow))
+        for flows in conformal._flow_chunks(load_frames(manifest), flow_params):
+            dataset.extend(vae.preprocess(flows, arch, max_flow))
     return dataset
 
 

@@ -17,7 +17,10 @@ from . import nnops, vae
 from .gridio import frame2d
 
 STD_FLOOR = 1e-6
-STATS_CHUNK = 64  # flows encoded per batch; bounds the im2col memory
+# flows encoded per batch; bounds the im2col memory.  Not vae.SCORE_CHUNK:
+# the float64 sums grow one batch at a time, so another chunk size would
+# change the statistics' bits
+STATS_CHUNK = 64
 
 
 @dataclass(frozen=True)

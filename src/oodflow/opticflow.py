@@ -71,7 +71,7 @@ def _prepare_pair(frame_a, frame_b, params: FlowParams):
 
 
 def _derivatives(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """(ix, iy, it) in float64 for two prepared frames, as one (3, H, W) block.
+    """(ix, iy, it) in float64 for prepared (..., H, W) frames, as one (3, ..., H, W) block.
 
     ix and iy are central differences (replicate padding at the borders) of
     the frame average, which keeps them symmetric in the frame pair; it =
@@ -80,12 +80,48 @@ def _derivatives(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     d = np.empty((3,) + a.shape)
     mean = np.add(a, b, out=d[2])
     mean *= 0.5
-    padded = np.pad(mean, 1, mode="edge")
-    np.subtract(padded[1:-1, 2:], padded[1:-1, :-2], out=d[0])
-    np.subtract(padded[2:, 1:-1], padded[:-2, 1:-1], out=d[1])
+    padded = np.pad(mean, [(0, 0)] * (a.ndim - 2) + [(1, 1), (1, 1)], mode="edge")
+    np.subtract(padded[..., 1:-1, 2:], padded[..., 1:-1, :-2], out=d[0])
+    np.subtract(padded[..., 2:, 1:-1], padded[..., :-2, 1:-1], out=d[1])
     d[:2] /= 2.0
     np.subtract(b, a, out=d[2])
     return d
+
+
+def _solve(a: np.ndarray, b: np.ndarray, params: FlowParams) -> np.ndarray:
+    """Flow between prepared (..., H, W) frames a and b, as a float32 (..., 2, H, W).
+
+    Every pixel of every pair gets the same float64 arithmetic, so a pair's
+    flow does not depend on the stack it is solved in.
+    """
+    d = _derivatives(a, b)
+    ix, iy, it = d
+
+    # the five window sums as one stack; the filter skips its size-1 axes
+    size = 2 * params.window_radius + 1
+    s = np.empty((5,) + ix.shape)
+    for out, (x, y) in zip(s, ((ix, ix), (iy, iy), (ix, iy), (ix, it), (iy, it))):
+        np.multiply(x, y, out=out)
+    uniform_filter(s, size=(1,) * (s.ndim - 2) + (size, size), mode="nearest", output=s)
+    s *= float(size * size)
+    s[:2] += params.regularization
+    sxx, syy, sxy, sxt, syt = s
+
+    # the derivative planes are spent; they hold det and the solve's products
+    det, p, q = d
+    np.multiply(sxx, syy, out=det)
+    det -= np.multiply(sxy, sxy, out=p)
+    # det >= lam^2 > 0 whenever regularization is on; the guard only matters
+    # for lam == 0 at fully degenerate pixels, where the RHS is zero too.
+    np.copyto(det, 1.0, where=~(det > 0))
+    # u = (S_xy S_yt - S_xt S_yy) / det and v = (S_xy S_xt - S_xx S_yt) / det
+    lead, plane = det.shape[:-2], det.shape[-2:]
+    flow = np.empty(lead + (2,) + plane, dtype=np.float32)
+    for i, (w, x, y, z) in enumerate(((sxy, syt, sxt, syy), (sxy, sxt, sxx, syt))):
+        np.multiply(w, x, out=p)
+        p -= np.multiply(y, z, out=q)
+        np.divide(p, det, out=flow[..., i, :, :], casting="same_kind")
+    return flow
 
 
 def lucas_kanade(frame_a, frame_b, params: FlowParams = FlowParams()) -> np.ndarray:
@@ -100,30 +136,29 @@ def lucas_kanade(frame_a, frame_b, params: FlowParams = FlowParams()) -> np.ndar
     padding at borders).  Output flow is in pixels per frame: u along the
     width axis, v along the height axis.
     """
-    d = _derivatives(*_prepare_pair(frame_a, frame_b, params))
-    ix, iy, it = d
+    return _solve(*_prepare_pair(frame_a, frame_b, params), params)
 
-    # the five window sums as one stack; the filter skips its size-1 axis
-    size = 2 * params.window_radius + 1
-    s = np.empty((5,) + ix.shape)
-    for out, (x, y) in zip(s, ((ix, ix), (iy, iy), (ix, iy), (ix, it), (iy, it))):
-        np.multiply(x, y, out=out)
-    uniform_filter(s, size=(1, size, size), mode="nearest", output=s)
-    s *= float(size * size)
-    s[:2] += params.regularization
-    sxx, syy, sxy, sxt, syt = s
 
-    # the derivative planes are spent; they hold det and the solve's products
-    det, p, q = d
-    np.multiply(sxx, syy, out=det)
-    det -= np.multiply(sxy, sxy, out=p)
-    # det >= lam^2 > 0 whenever regularization is on; the guard only matters
-    # for lam == 0 at fully degenerate pixels, where the RHS is zero too.
-    np.copyto(det, 1.0, where=~(det > 0))
-    # u = (S_xy S_yt - S_xt S_yy) / det and v = (S_xy S_xt - S_xx S_yt) / det
-    flow = np.empty((2,) + det.shape, dtype=np.float32)
-    for f, (w, x, y, z) in zip(flow, ((sxy, syt, sxt, syy), (sxy, sxt, sxx, syt))):
-        np.multiply(w, x, out=p)
-        p -= np.multiply(y, z, out=q)
-        np.divide(p, det, out=f, casting="same_kind")
-    return flow
+def flow_sequence(frames, params: FlowParams) -> np.ndarray:
+    """The flows of every consecutive pair of T >= 2 frames, as a (T-1, 2, H, W) array.
+
+    Pair t's flow is bit for bit ``lucas_kanade(frames[t], frames[t + 1],
+    params)``, but each frame is checked and blurred once and all pairs are
+    solved together.  Raises the errors :func:`lucas_kanade` raises, for the
+    first pair that has one.
+    """
+    frames = list(frames)
+    if len(frames) < 2:
+        raise ValueError("need at least 2 frames")
+    stack = None
+    for t, frame in enumerate(frames):
+        f = frame2d(frame)
+        if stack is None:
+            stack = np.empty((len(frames),) + f.shape)
+        elif f.shape != stack.shape[1:]:
+            raise ValueError(f"frame dimensions differ: {stack.shape[1:]} vs {f.shape}")
+        stack[t] = f
+    sigma = params.presmooth_sigma
+    if sigma > 0:
+        gaussian_filter(stack, (0, sigma, sigma), mode="nearest", output=stack)
+    return _solve(stack[:-1], stack[1:], params)

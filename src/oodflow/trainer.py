@@ -16,7 +16,8 @@ import numpy as np
 
 from . import nnops, vae
 from .conformal import CalibrationSet
-from .vae import NumericError, VaeArchitecture, VaeWeights, kl_score
+# kl_score is not called here; perfbench's tracer checks that it wraps this alias
+from .vae import NumericError, VaeArchitecture, VaeWeights, kl_score  # noqa: F401
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -257,12 +258,13 @@ def split_calibration(dataset, fraction: float, seed: int):
 def build_calibration(weights: VaeWeights, cal_flows) -> CalibrationSet:
     """Score held-out flows via encode + KL and sort ascending.
 
-    Samples are encoded one at a time: batched BLAS kernels are not
-    bit-identical across batch positions, and the calibration set must be
-    exactly permutation-invariant in its inputs.
+    Flows are encoded vae.SCORE_CHUNK at a time.  The inference encoder
+    gives each row the bits it gives the row alone, so the calibration set
+    is exactly permutation-invariant in its inputs.
     """
     flows = list(cal_flows)
     if not flows:
         raise ValueError("calibration flows must be nonempty")
-    scores = [kl_score(vae.encode(weights, f).posterior) for f in flows]
-    return CalibrationSet(scores=np.sort(np.asarray(scores, dtype=np.float64)))
+    scores = [vae.score_batch(weights, np.stack(flows[start:start + vae.SCORE_CHUNK]))[3]
+              for start in range(0, len(flows), vae.SCORE_CHUNK)]
+    return CalibrationSet(scores=np.sort(np.concatenate(scores)))

@@ -6,9 +6,11 @@ Run it in two checkouts and diff the outputs: equal lines mean the two
 compute the same bits.  It covers the loss terms and all gradients of one
 forward and backward pass at 32 px (N=7) and 64 px (N=32), a 2-epoch
 training run's final weights and CSV log, ``encode_batch``,
-``activation_stats`` and 256 px ``localization.overlay`` maps on the
-trained weights, and the Lucas-Kanade flows of one 256 px episode, streamed
-in order and pair by pair in reverse, with their ``vae.preprocess`` inputs.
+``activation_stats``, 256 px ``localization.overlay`` maps, the calibration
+scores and the ``detect_episode`` events and curves of an ID and an OOD
+episode on the trained weights, and the Lucas-Kanade flows of one 256 px
+episode, streamed in order, pair by pair in reverse and from
+``flow_sequence``, with their ``vae.preprocess`` inputs.
 The inputs are synthetic.  pytest does not collect this file.
 """
 
@@ -20,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from oodflow import localization, opticflow, synthdata, trainer, vae
+from oodflow import conformal, localization, opticflow, synthdata, trainer, vae
 
 
 def _sha(arr) -> str:
@@ -70,6 +72,16 @@ def _training(size: int, seed: int) -> None:
     print(f"train{size} activation_stats.std {_sha(stats.std)}")
     for i, acts in enumerate(vae.encode_batch(weights, np.stack(held_out[:3]))[2]):
         print(f"train{size} overlay256.{i} {_sha(localization.overlay(acts, stats, 256))}")
+    cal = trainer.build_calibration(weights, held_out)
+    print(f"train{size} build_calibration {_sha(cal.scores)}")
+    scene = synthdata.SceneConfig(size=size, seed=seed + 100)
+    anomaly = synthdata.AnomalySpec("velocity_reversal", 30, 1.0)
+    for name, ep in (("id", synthdata.gen_id_episode(scene)),
+                     ("ood", synthdata.gen_ood_episode(scene, anomaly))):
+        events, curve = conformal.detect_episode(ep.frames, weights, cal,
+                                                 conformal.DetectorConfig(), name)
+        text = repr((events, curve)).encode()
+        print(f"train{size} detect_episode.{name} {hashlib.sha256(text).hexdigest()}")
 
 
 def _stream(size: int, seed: int) -> None:
@@ -82,6 +94,8 @@ def _stream(size: int, seed: int) -> None:
             flow = opticflow.lucas_kanade(a, b)
             print(f"stream{size} {order}.flow.{i} {_sha(flow)}")
             print(f"stream{size} {order}.preprocess.{i} {_sha(vae.preprocess(flow, arch))}")
+    for i, flow in enumerate(opticflow.flow_sequence(frames, opticflow.FlowParams())):
+        print(f"stream{size} flow_sequence.flow.{i} {_sha(flow)}")
 
 
 def main() -> None:

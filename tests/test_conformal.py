@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oodflow import conformal, synthdata
+from oodflow import conformal, opticflow, synthdata, vae
 from oodflow.conformal import CalibrationSet, DetectorConfig, DetectorState
 
 
@@ -237,6 +237,34 @@ def test_detect_episode_needs_two_frames(trained32):
         conformal.detect_episode([np.zeros((32, 32), dtype=np.float32)],
                                  trained32["weights"], trained32["cal"],
                                  trained32["detector"])
+
+
+def _streamed(frames, weights, cal, cfg, episode_id):
+    """The live loop: lucas_kanade, score_flow and step, one frame pair at a time."""
+    state = conformal.DetectorState(frame_index=1)
+    events, curve = [], []
+    for a, b in zip(frames, frames[1:]):
+        _, alpha = vae.score_flow(weights, opticflow.lucas_kanade(a, b))
+        frame = state.frame_index
+        state, event = conformal.step(state, alpha, cal, cfg, episode_id)
+        curve.append(conformal.CurvePoint(frame, alpha, state.p_window[-1], state.log_m,
+                                          state.exceed_count))
+        events += [event] if event is not None else []
+    return events, curve
+
+
+@pytest.mark.parametrize("anomaly", [None, "velocity_reversal"])
+def test_detect_episode_equals_streamed_loop(trained32, anomaly):
+    # chunked scoring gives the live stream's bits, at 64 px frames
+    scene = synthdata.SceneConfig(size=64, seed=779)
+    ep = (synthdata.gen_id_episode(scene) if anomaly is None else
+          synthdata.gen_ood_episode(scene, synthdata.AnomalySpec(anomaly, 30, 1.0)))
+    args = (trained32["weights"], trained32["cal"], trained32["detector"], ep.id)
+    events, curve = conformal.detect_episode(ep.frames, *args)
+    want_events, want_curve = _streamed(ep.frames, *args)
+    assert len(curve) == len(ep.frames) - 1
+    assert repr(curve) == repr(want_curve) and events == want_events
+    assert all(type(pt.alpha) is float for pt in curve)
 
 
 def test_detect_episode_id_quiet_and_deterministic(trained32):

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from oodflow import conformal, harness, synthdata
+from oodflow import conformal, harness, opticflow, synthdata
 from oodflow.harness import Metrics
 
 
@@ -102,6 +102,38 @@ def test_evaluate_skips_unreadable_episode(corpus32, trained32, tmp_path):
     bad = [r for r in records if r.error is not None]
     assert len(bad) == 1 and bad[0].episode_id == broken[0].id
     assert metrics.tp + metrics.fp + metrics.tn + metrics.fn == 2
+
+
+def test_nan_frame_skips_only_its_episode(corpus32, trained32, monkeypatch):
+    # frame 30 of one episode turns NaN after it is read: evaluate and
+    # grid_search record that episode's error and score the rest unchanged
+    _, manifests = corpus32
+    args = (trained32["weights"], trained32["cal"])
+    cfg = trained32["detector"]
+    _, clean = harness.evaluate(manifests, *args, cfg)
+    victim = manifests[1].id
+    load = harness.load_frames
+
+    def load_with_nan(manifest):
+        frames = load(manifest)
+        if manifest.id == victim:
+            frames[30] = np.full_like(frames[30], np.nan)
+        return frames
+
+    monkeypatch.setattr(harness, "load_frames", load_with_nan)
+    frames = load_with_nan(manifests[1])
+    with pytest.raises(ValueError) as info:
+        opticflow.lucas_kanade(frames[29], frames[30])
+    for run in (lambda: harness.evaluate(manifests, *args, cfg)[1],
+                lambda: harness.grid_search(manifests, *args, [cfg.log_threshold], cfg)[2]):
+        with pytest.warns(UserWarning, match=f"skipping unreadable episode {victim}"):
+            records = run()
+        for rec, want in zip(records, clean):
+            if rec.episode_id == victim:
+                assert rec.error == str(info.value)
+                assert rec.curve == [] and rec.events == []
+            else:
+                assert repr(rec) == repr(want)
 
 
 def test_grid_search_single_threshold(corpus32, trained32):

@@ -274,3 +274,53 @@ def test_memo_flow_is_fresh_and_writable():
     assert not memo[2].flags.writeable
     flow[:] = 7.0
     assert opticflow.lucas_kanade(b, c).tobytes() == want.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# flow_sequence: every pair of a frame stack, solved together
+# ---------------------------------------------------------------------------
+
+def _drifting_frames(count, shape, seed):
+    """A seeded texture moving about a pixel per frame, with fresh noise each frame."""
+    rng = np.random.default_rng(seed)
+    tex = rng.uniform(size=shape)
+    return [(np.roll(tex, (t // 3, t), axis=(0, 1))
+             + rng.normal(0.0, 0.02, size=shape)).astype(np.float32)
+            for t in range(count)]
+
+
+@pytest.mark.parametrize("shape", [(32, 32), (24, 40)])
+@pytest.mark.parametrize("params", [FlowParams(), NO_SMOOTH])
+def test_flow_sequence_matches_streamed_pairs(shape, params):
+    frames = _drifting_frames(60, shape, seed=sum(shape))
+    streamed = _stream(frames, params)
+    for count in (2, 9, 10, 60):  # one pair, and either side of chunk edges
+        got = opticflow.flow_sequence(frames[:count], params)
+        assert got.shape == (count - 1, 2) + shape and got.dtype == np.float32
+        assert got.flags.c_contiguous
+        _assert_same_flows(list(got), streamed[:count - 1])
+
+
+def test_flow_sequence_matches_per_pixel_oracle():
+    frames = _drifting_frames(3, (11, 13), seed=8)
+    got = opticflow.flow_sequence(frames, FlowParams())
+    for t, (a, b) in enumerate(zip(frames, frames[1:])):
+        np.testing.assert_allclose(got[t], naive_lucas_kanade(a, b), rtol=1e-6, atol=1e-6)
+
+
+def _error_text(fn, *args):
+    with pytest.raises(ValueError) as info:
+        fn(*args)
+    return str(info.value)
+
+
+def test_flow_sequence_rejects_what_lucas_kanade_rejects():
+    frames = _drifting_frames(4, (8, 8), seed=9)
+    wide = np.zeros((8, 9), dtype=np.float32)
+    bad = frames[2].copy()
+    bad[3, 4] = np.nan
+    for broken in (frames[:2] + [wide] + frames[3:], frames[:2] + [bad] + frames[3:]):
+        want = _error_text(opticflow.lucas_kanade, broken[1], broken[2])
+        assert _error_text(opticflow.flow_sequence, broken, FlowParams()) == want
+    for short in ([], frames[:1]):
+        assert _error_text(opticflow.flow_sequence, short, FlowParams()) == "need at least 2 frames"

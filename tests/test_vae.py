@@ -55,15 +55,37 @@ def test_architecture_downsampling_chain():
 # encode / decode
 # ---------------------------------------------------------------------------
 
-def test_encode_batch_volume_batch_invariant():
-    # the last-conv volume of each flow in a batch equals its volume alone
+@pytest.fixture(scope="module")
+def batch64():
     arch = VaeArchitecture()
     w = vae.init_weights(arch, 3)
-    flows = np.stack([_rand_flow(arch, seed) for seed in range(5)])
-    _, _, acts = vae.encode_batch(w, flows)
-    assert acts.flags.c_contiguous
-    for i in range(5):
-        assert np.array_equal(acts[i:i + 1], vae.encode_batch(w, flows[i:i + 1])[2])
+    flows = np.stack([_rand_flow(arch, seed) for seed in range(59)])
+    return w, flows, [vae.encode_batch(w, flows[i:i + 1]) for i in range(59)]
+
+
+def test_encode_batch_volume_batch_invariant(batch64):
+    # mu, logvar and the last-conv volume of each flow in a batch equal the
+    # flow's own, bit for bit, so batched scores equal streamed ones
+    w, flows, alone = batch64
+    for n in (2, 5, 16, 59):
+        batched = vae.encode_batch(w, flows[:n])
+        assert batched[2].flags.c_contiguous
+        for i in range(n):
+            for name, got, want in zip(("mu", "logvar", "volume"), batched, alone[i]):
+                assert np.array_equal(got[i:i + 1], want), f"{name} of row {i} at N={n}"
+
+
+def test_score_batch_rows_match_score_flow(batch64):
+    w, _, _ = batch64
+    raw = np.random.default_rng(4).uniform(-9, 9, size=(11, 2, 40, 40)).astype(np.float32)
+    mu, logvar, acts, alphas = vae.score_batch(w, vae.preprocess(raw, w.arch, w.max_flow))
+    assert alphas.dtype == np.float64 and alphas.shape == (11,)
+    for i, flow in enumerate(raw):
+        out, alpha = vae.score_flow(w, flow)
+        assert alpha == alphas[i] and alpha == vae.kl_score(out.posterior)
+        assert np.array_equal(out.posterior.mu, mu[i])
+        assert np.array_equal(out.posterior.logvar, logvar[i])
+        assert np.array_equal(out.last_conv_activations, acts[i])
 
 
 def test_encode_zero_weights_passes_biases(tiny_arch):
@@ -229,6 +251,16 @@ def test_preprocess_clamp_boundary(tiny_arch):
     np.testing.assert_allclose(out[1], 0.0)
     flow[0] = 50.0  # beyond the clamp
     np.testing.assert_allclose(vae.preprocess(flow, tiny_arch, 8.0)[0], 1.0)
+
+
+def test_preprocess_stack_matches_each_flow(tiny_arch):
+    flows = np.random.default_rng(6).uniform(-12, 12, size=(3, 4, 2, 20, 28))
+    got = vae.preprocess(flows, tiny_arch)
+    assert got.shape == (3, 4, 2, 16, 16) and got.dtype == np.float32
+    for idx in np.ndindex(3, 4):
+        assert got[idx].tobytes() == vae.preprocess(flows[idx], tiny_arch).tobytes()
+    with pytest.raises(ValueError, match="flow must be"):
+        vae.preprocess(np.zeros((3, 20, 28)), tiny_arch)
 
 
 def test_preprocess_downsample_block_mean():
