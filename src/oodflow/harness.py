@@ -3,14 +3,20 @@
 An episode counts as a positive when the detector emits at least one event
 anywhere in it; metrics are episode-level confusion counts.  Threshold grid
 searches reuse each episode's log-martingale trace, which does not depend
-on the threshold.
+on the threshold.  Episodes are scored on one spawned worker process per
+usable core.
 """
 
 from __future__ import annotations
 
+import atexit
+import hashlib
 import json
+import os
 import time
+import traceback
 import warnings
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
@@ -118,7 +124,8 @@ def corpus_flow_dataset(manifests, flow_params: opticflow.FlowParams,
 # Evaluation and threshold search
 # ---------------------------------------------------------------------------
 
-def _run_episodes(manifests, weights, cal, cfg) -> list[EpisodeRecord]:
+def _score_episodes(manifests, weights, cal, cfg) -> list[EpisodeRecord]:
+    """Score episodes in order; an unreadable one keeps its error in its record."""
     records: list[EpisodeRecord] = []
     for manifest in manifests:
         record = EpisodeRecord(episode_id=manifest.id, label=manifest.label,
@@ -128,9 +135,166 @@ def _run_episodes(manifests, weights, cal, cfg) -> list[EpisodeRecord]:
             record.events, record.curve = conformal.detect_episode(
                 frames, weights, cal, cfg, episode_id=manifest.id)
         except (OSError, EOFError, ValueError) as exc:
-            warnings.warn(f"skipping unreadable episode {manifest.id}: {exc}")
             record.error = str(exc)
         records.append(record)
+    return records
+
+
+def _usable_cores() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+# one BLAS thread per worker, as joblib/loky do against oversubscription
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+@contextmanager
+def _one_blas_thread():
+    """Set the BLAS thread counts to 1 in this process's environment, then restore them."""
+    saved = {k: os.environ.get(k) for k in _BLAS_THREAD_VARS}
+    os.environ.update(dict.fromkeys(_BLAS_THREAD_VARS, "1"))
+    try:
+        yield
+    finally:
+        for k, v in saved.items():
+            if v is None:
+                os.environ.pop(k)
+            else:
+                os.environ[k] = v
+
+
+def _weights_key(weights: vae.VaeWeights) -> str:
+    """A digest of everything the weights hold."""
+    h = hashlib.sha256(repr((weights.arch, weights.max_flow)).encode())
+    for name in sorted(weights.tensors):
+        t = np.ascontiguousarray(weights.tensors[name])
+        h.update(f"{name} {t.dtype}".encode())
+        h.update(t)
+    return h.hexdigest()
+
+
+def _send_weights(conn, weights: vae.VaeWeights) -> None:
+    """Send weights down a pipe; each tensor goes as its own bytes, uncopied."""
+    specs = [(name, t.dtype.str, t.shape) for name, t in weights.tensors.items()]
+    conn.send(("weights", weights.arch, weights.max_flow, specs))
+    for t in weights.tensors.values():
+        conn.send_bytes(np.ascontiguousarray(t))
+
+
+class _WorkerTraceback(Exception):
+    """The traceback text of an error raised in a worker process."""
+
+
+def _serve(conn) -> None:
+    """A worker's loop: keep the last weights it is sent, score each share it gets.
+
+    Replies ("records", records) or ("error", exception, traceback text).
+    """
+    weights = None
+    while True:
+        try:
+            message = conn.recv()
+        except EOFError:  # the parent ended without stopping this worker
+            return
+        if message[0] == "weights":
+            _, arch, max_flow, specs = message
+            # copied out of the received bytes into arrays of their own, as
+            # vae.load_weights gives them
+            tensors = {name: np.frombuffer(conn.recv_bytes(), dtype).reshape(shape).copy()
+                       for name, dtype, shape in specs}
+            weights = vae.VaeWeights(arch=arch, max_flow=max_flow, tensors=tensors)
+            continue
+        _, manifests, cal, cfg = message
+        try:
+            reply = ("records", _score_episodes(manifests, weights, cal, cfg))
+        except Exception as exc:  # the parent raises it
+            reply = ("error", exc, traceback.format_exc())
+        conn.send(reply)
+
+
+class _WorkerPool:
+    """One spawned worker process per usable core, each with one BLAS thread.
+
+    Worker i scores every n-th episode from the i-th on.  Each worker keeps
+    the last weights it was sent, so a set of weights crosses to a worker
+    once, not with every share.
+    """
+
+    def __init__(self, n: int):
+        import multiprocessing
+
+        context = multiprocessing.get_context("spawn")
+        self.pid = os.getpid()
+        self.broken = False
+        self.held: list[str | None] = [None] * n  # digest of each worker's weights
+        self.conns, self.procs = [], []
+        with _one_blas_thread():  # a spawned process inherits the environment
+            for _ in range(n):
+                conn, child_conn = context.Pipe()
+                proc = context.Process(target=_serve, args=(child_conn,), daemon=True)
+                proc.start()
+                child_conn.close()
+                self.conns.append(conn)
+                self.procs.append(proc)
+        atexit.register(self.shutdown)
+
+    def score(self, manifests, weights, cal, cfg) -> list[EpisodeRecord]:
+        n = len(self.conns)
+        key = _weights_key(weights)
+        try:
+            for i, conn in enumerate(self.conns):
+                if self.held[i] != key:
+                    _send_weights(conn, weights)
+                    self.held[i] = key
+                conn.send(("score", manifests[i::n], cal, cfg))
+            replies = [conn.recv() for conn in self.conns]
+        except BaseException as exc:
+            # a worker that died or a call cut short leaves the pipes out of step
+            self.broken = True
+            self.shutdown()
+            if isinstance(exc, (EOFError, OSError)):
+                raise ChildProcessError("an evaluation worker ended unexpectedly") from exc
+            raise
+        for reply in replies:
+            if reply[0] == "error":
+                raise reply[1] from _WorkerTraceback(reply[2])
+        shares = [reply[1] for reply in replies]
+        return [shares[j % n][j // n] for j in range(len(manifests))]
+
+    def shutdown(self) -> None:
+        """Terminate the workers; closing their pipes is not enough, since a
+        forked copy of this process may hold them open."""
+        if self.pid == os.getpid():  # not a copy inherited through a fork
+            for conn in self.conns:
+                conn.close()
+            for proc in self.procs:
+                proc.terminate()
+                proc.join()
+        self.conns, self.procs = [], []
+
+
+_pool: _WorkerPool | None = None
+
+
+def _worker_pool() -> _WorkerPool:
+    """This process's pool, started on first use and again after a fork or a failure."""
+    global _pool
+    if _pool is None or _pool.pid != os.getpid() or _pool.broken:
+        _pool = _WorkerPool(_usable_cores())
+    return _pool
+
+
+def _run_episodes(manifests, weights, cal, cfg) -> list[EpisodeRecord]:
+    if len(manifests) > 1 and _usable_cores() > 1:
+        records = _worker_pool().score(manifests, weights, cal, cfg)
+    else:
+        records = _score_episodes(manifests, weights, cal, cfg)
+    for r in records:
+        if r.error is not None:
+            warnings.warn(f"skipping unreadable episode {r.episode_id}: {r.error}")
     return records
 
 

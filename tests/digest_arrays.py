@@ -7,8 +7,9 @@ compute the same bits.  It covers the loss terms and all gradients of one
 forward and backward pass at 32 px (N=7) and 64 px (N=32), a 2-epoch
 training run's final weights and CSV log, ``encode_batch``,
 ``activation_stats``, 256 px ``localization.overlay`` maps, the calibration
-scores and the ``detect_episode`` events and curves of an ID and an OOD
-episode on the trained weights, and the Lucas-Kanade flows of one 256 px
+scores, the ``detect_episode`` events and curves of an ID and an OOD
+episode on the trained weights and the ``evaluate`` and ``grid_search``
+results of a 4-episode corpus (scored on worker processes), and the Lucas-Kanade flows of one 256 px
 episode, streamed in order, pair by pair in reverse and from
 ``flow_sequence``, with their ``vae.preprocess`` inputs.
 The inputs are synthetic.  pytest does not collect this file.
@@ -22,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from oodflow import conformal, localization, opticflow, synthdata, trainer, vae
+from oodflow import conformal, harness, localization, opticflow, synthdata, trainer, vae
 
 
 def _sha(arr) -> str:
@@ -82,6 +83,15 @@ def _training(size: int, seed: int) -> None:
                                                  conformal.DetectorConfig(), name)
         text = repr((events, curve)).encode()
         print(f"train{size} detect_episode.{name} {hashlib.sha256(text).hexdigest()}")
+    cfg = conformal.DetectorConfig()
+    with tempfile.TemporaryDirectory() as tmp:
+        manifests = synthdata.gen_benchmark(Path(tmp), scene, n_id=2, n_ood=2,
+                                            seed=seed + 200)
+        text = repr(harness.evaluate(manifests, weights, cal, cfg)).encode()
+        print(f"train{size} evaluate {hashlib.sha256(text).hexdigest()}")
+        text = repr(harness.grid_search(manifests, weights, cal, (1.0, 3.0, 8.0),
+                                        cfg)).encode()
+        print(f"train{size} grid_search {hashlib.sha256(text).hexdigest()}")
 
 
 def _stream(size: int, seed: int) -> None:

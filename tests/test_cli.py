@@ -1,4 +1,5 @@
 import json
+import os
 import shlex
 import shutil
 import subprocess
@@ -104,6 +105,25 @@ def test_eval_grid_search(pipeline, tmp_path, capsys):
     assert "best threshold" in printed
     doc = json.loads(out.read_text())
     assert doc["threshold"] in (1.0, 2.0, 3.0, 4.0, 5.0)
+
+
+def test_module_eval_matches_cli_main(pipeline, tmp_path):
+    # `python -m oodflow eval` scores on spawned workers, which import the
+    # entry module; it must run the command once and write the same file
+    args = ["eval", "--corpus", str(pipeline["corpus"]),
+            "--weights", str(pipeline["weights"]), "--cal", str(pipeline["cal"]),
+            "--grid", "1,2,3,4,5", "--out"]
+    assert cli.main(args + [str(tmp_path / "main.json")]) == 0
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    proc = subprocess.run([sys.executable, "-m", "oodflow", *args,
+                           str(tmp_path / "module.json")],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.count("best threshold") == 1
+    assert ((tmp_path / "module.json").read_bytes()
+            == (tmp_path / "main.json").read_bytes())
 
 
 def test_bench_report(pipeline, tmp_path):

@@ -1,9 +1,15 @@
 import json
+import os
+import shutil
+import subprocess
+import sys
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from oodflow import conformal, harness, opticflow, synthdata
+from oodflow import cli, conformal, gridio, harness, opticflow, synthdata, vae
 from oodflow.harness import Metrics
 
 
@@ -104,32 +110,27 @@ def test_evaluate_skips_unreadable_episode(corpus32, trained32, tmp_path):
     assert metrics.tp + metrics.fp + metrics.tn + metrics.fn == 2
 
 
-def test_nan_frame_skips_only_its_episode(corpus32, trained32, monkeypatch):
-    # frame 30 of one episode turns NaN after it is read: evaluate and
-    # grid_search record that episode's error and score the rest unchanged
-    _, manifests = corpus32
+def test_bad_frame_skips_only_its_episode(corpus32, trained32, tmp_path):
+    # frame 30 of one episode is stored at another size, so the flow solve
+    # raises mid-episode: evaluate and grid_search record that episode's
+    # error and score the rest unchanged
+    root, manifests = corpus32
     args = (trained32["weights"], trained32["cal"])
     cfg = trained32["detector"]
     _, clean = harness.evaluate(manifests, *args, cfg)
-    victim = manifests[1].id
-    load = harness.load_frames
-
-    def load_with_nan(manifest):
-        frames = load(manifest)
-        if manifest.id == victim:
-            frames[30] = np.full_like(frames[30], np.nan)
-        return frames
-
-    monkeypatch.setattr(harness, "load_frames", load_with_nan)
-    frames = load_with_nan(manifests[1])
+    shutil.copytree(root, tmp_path / "corpus")
+    manifests = harness.load_corpus(tmp_path / "corpus")
+    victim = manifests[1]
+    gridio.write_pgm(victim.frame_paths[30], np.zeros((33, 32), np.float32))
+    frames = harness.load_frames(victim)
     with pytest.raises(ValueError) as info:
         opticflow.lucas_kanade(frames[29], frames[30])
     for run in (lambda: harness.evaluate(manifests, *args, cfg)[1],
                 lambda: harness.grid_search(manifests, *args, [cfg.log_threshold], cfg)[2]):
-        with pytest.warns(UserWarning, match=f"skipping unreadable episode {victim}"):
+        with pytest.warns(UserWarning, match=f"skipping unreadable episode {victim.id}"):
             records = run()
-        for rec, want in zip(records, clean):
-            if rec.episode_id == victim:
+        for rec, want in zip(records, clean, strict=True):
+            if rec.episode_id == victim.id:
                 assert rec.error == str(info.value)
                 assert rec.curve == [] and rec.events == []
             else:
@@ -147,19 +148,21 @@ def test_grid_search_single_threshold(corpus32, trained32):
 def test_grid_search_best_dominates_and_caches_curves(
         corpus32, trained32, monkeypatch):
     root, manifests = corpus32
-    calls = {"n": 0}
-    orig = conformal.detect_episode
+    scored = []  # the episodes of each scoring pass, counted in the caller
+    orig = harness._run_episodes
 
-    def counting(*args, **kwargs):
-        calls["n"] += 1
-        return orig(*args, **kwargs)
+    def counting(episodes, *args):
+        scored.append([m.id for m in episodes])
+        return orig(episodes, *args)
 
-    monkeypatch.setattr(conformal, "detect_episode", counting)
+    monkeypatch.setattr(harness, "_run_episodes", counting)
     thresholds = [1.0, 2.0, 3.0, 5.0, 8.0, 12.0]
-    best, table, _ = harness.grid_search(manifests, trained32["weights"],
-                                         trained32["cal"], thresholds,
-                                         trained32["detector"])
-    assert calls["n"] == len(manifests)  # curves computed once, not per tau
+    best, table, records = harness.grid_search(manifests, trained32["weights"],
+                                               trained32["cal"], thresholds,
+                                               trained32["detector"])
+    # curves computed once, not per tau
+    assert scored == [[m.id for m in manifests]]
+    assert all(len(r.curve) == 59 for r in records)
     best_f1 = dict((t, m.f1) for t, m in table)[best]
     assert all(best_f1 >= m.f1 for _, m in table)
 
@@ -179,6 +182,193 @@ def test_grid_search_empty_thresholds(corpus32, trained32):
     with pytest.raises(ValueError):
         harness.grid_search(manifests, trained32["weights"], trained32["cal"],
                             [], trained32["detector"])
+
+
+# ---------------------------------------------------------------------------
+# parallel scoring: one spawned worker per usable core
+# ---------------------------------------------------------------------------
+
+@pytest.fixture()
+def two_workers(monkeypatch):
+    """The worker path even on one core (a pool already started keeps its size)."""
+    monkeypatch.setattr(harness, "_usable_cores", lambda: 2)
+
+
+def _loop_records(manifests, weights, cal, cfg):
+    """The in-process load_frames -> detect_episode loop."""
+    records = []
+    for m in manifests:
+        events, curve = conformal.detect_episode(
+            harness.load_frames(m), weights, cal, cfg, episode_id=m.id)
+        records.append(harness.EpisodeRecord(m.id, m.label, m.onset_frame,
+                                             events, curve))
+    return records
+
+
+def test_worker_records_equal_in_process_loop(corpus32, trained32, two_workers):
+    _, manifests = corpus32
+    weights, cal, cfg = trained32["weights"], trained32["cal"], trained32["detector"]
+    blas_env = {k: os.environ.get(k) for k in harness._BLAS_THREAD_VARS}
+    _, records = harness.evaluate(manifests, weights, cal, cfg)
+    assert repr(records) == repr(_loop_records(manifests, weights, cal, cfg))
+    best, _, records = harness.grid_search(manifests, weights, cal,
+                                           [1.0, 3.0, 8.0], cfg)
+    # the curves are traced once at cfg; the events are those at the best tau
+    at_best = _loop_records(manifests, weights, cal,
+                            replace(cfg, log_threshold=best))
+    want = [replace(r, events=b.events)
+            for r, b in zip(_loop_records(manifests, weights, cal, cfg), at_best)]
+    assert repr(records) == repr(want)
+    # the workers run one BLAS thread; this process's environment is restored
+    assert {k: os.environ.get(k) for k in harness._BLAS_THREAD_VARS} == blas_env
+    for proc in harness._pool.procs:
+        environ = Path(f"/proc/{proc.pid}/environ")
+        if environ.exists():  # the environment the worker started with
+            assert {f"{k}=1".encode() for k in harness._BLAS_THREAD_VARS} <= set(
+                environ.read_bytes().split(b"\0"))
+
+
+def test_workers_follow_changed_weights(corpus32, trained32, two_workers):
+    # each worker keeps the last weights it was sent; a new set must replace
+    # them and an earlier set must come back, over an uneven split of 5
+    manifests = corpus32[1][:5]
+    cal, cfg = trained32["cal"], trained32["detector"]
+    fresh = vae.init_weights(trained32["arch"], 7)
+    for weights in (trained32["weights"], fresh, trained32["weights"]):
+        _, records = harness.evaluate(manifests, weights, cal, cfg)
+        assert repr(records) == repr(_loop_records(manifests, weights, cal, cfg))
+
+
+def test_worker_numeric_error_reaches_caller(corpus32, trained32, two_workers,
+                                             tmp_path):
+    # weights scaled until the encoder overflows fail in the workers with the
+    # in-process error; `oodflow eval` exits 4, and the next call scores again
+    root, manifests = corpus32
+    weights, cal, cfg = trained32["weights"], trained32["cal"], trained32["detector"]
+    big = replace(weights, tensors={k: v * np.float32(1e10)
+                                    for k, v in weights.tensors.items()})
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(vae.NumericError) as local:
+            conformal.detect_episode(harness.load_frames(manifests[0]), big, cal, cfg)
+    with pytest.raises(vae.NumericError) as remote:
+        harness.evaluate(manifests, big, cal, cfg)
+    assert str(remote.value) == str(local.value)
+    vae.save_weights(tmp_path / "big.bin", big)
+    harness.save_calibration(tmp_path / "cal.json", cal, trained32["stats"])
+    rc = cli.main(["eval", "--corpus", str(root), "--weights", str(tmp_path / "big.bin"),
+                   "--cal", str(tmp_path / "cal.json"), "--out", str(tmp_path / "m.json")])
+    assert rc == cli.EXIT_NUMERIC
+    _, records = harness.evaluate(manifests, weights, cal, cfg)
+    assert repr(records) == repr(_loop_records(manifests, weights, cal, cfg))
+
+
+def test_dead_worker_fails_the_call_and_the_next_call_rebuilds(
+        corpus32, trained32, two_workers):
+    manifests = corpus32[1][:2]
+    weights, cal, cfg = trained32["weights"], trained32["cal"], trained32["detector"]
+    harness.evaluate(manifests, weights, cal, cfg)
+    dead = harness._pool.procs[0]
+    dead.kill()
+    dead.join(timeout=30)
+    with pytest.raises(ChildProcessError, match="worker ended unexpectedly"):
+        harness.evaluate(manifests, weights, cal, cfg)
+    _, records = harness.evaluate(manifests, weights, cal, cfg)
+    assert dead not in harness._pool.procs
+    assert repr(records) == repr(_loop_records(manifests, weights, cal, cfg))
+
+
+_SCRIPT = """
+import multiprocessing
+import sys
+
+from oodflow import conformal, harness, vae
+
+
+def main(corpus):
+    harness._usable_cores = lambda: 2
+    manifests = harness.load_corpus(corpus)[:2]
+    weights = vae.init_weights(vae.VaeArchitecture(input_size=32), 1)
+    cal = conformal.CalibrationSet(scores=[0.5, 1.0])
+    metrics, _ = harness.evaluate(manifests, weights, cal, conformal.DetectorConfig())
+    print(*[p.pid for p in multiprocessing.active_children()])
+    print(metrics.tp + metrics.fp + metrics.tn + metrics.fn)
+
+
+if __name__ == "__main__":
+    main(sys.argv[1])
+"""
+
+
+_FORK_SCRIPT = """
+import os
+import sys
+
+from oodflow import conformal, harness, vae
+
+
+def main(corpus):
+    harness._usable_cores = lambda: 2
+    manifests = harness.load_corpus(corpus)[:2]
+    weights = vae.init_weights(vae.VaeArchitecture(input_size=32), 1)
+    cal = conformal.CalibrationSet(scores=[0.5, 1.0])
+    cfg = conformal.DetectorConfig()
+    _, records = harness.evaluate(manifests, weights, cal, cfg)
+    pool = harness._pool
+    pid = os.fork()
+    if pid == 0:  # the pool belongs to the parent: the child starts its own
+        _, again = harness.evaluate(manifests, weights, cal, cfg)
+        sys.exit(0 if repr(again) == repr(records) and harness._pool is not pool else 1)
+    _, again = harness.evaluate(manifests, weights, cal, cfg)
+    same = repr(again) == repr(records) and harness._pool is pool
+    print(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]), same)
+
+
+if __name__ == "__main__":
+    main(sys.argv[1])
+"""
+
+
+def _python(*args) -> str:
+    """Run a Python process on this package; return its standard output."""
+    src = str(Path(harness.__file__).resolve().parent.parent)
+    path = os.pathsep.join([src] + ([os.environ["PYTHONPATH"]]
+                                    if os.environ.get("PYTHONPATH") else []))
+    proc = subprocess.run([sys.executable, *map(str, args)], capture_output=True,
+                          text=True, timeout=120, env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def _run_script(text, tmp_path, *args) -> str:
+    script = tmp_path / "script.py"
+    script.write_text(text)
+    return _python(script, *args)
+
+
+def test_pool_is_rebuilt_after_fork(corpus32, tmp_path):
+    assert _run_script(_FORK_SCRIPT, tmp_path, corpus32[0]).split() == ["0", "True"]
+
+
+def _alive(pid: int) -> bool:
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    return True
+
+
+def test_script_with_workers_exits_cleanly(corpus32, tmp_path):
+    # a script that evaluates and returns neither hangs at exit nor leaves
+    # its workers running
+    pids, count = _run_script(_SCRIPT, tmp_path, corpus32[0]).splitlines()
+    assert count == "2" and len(pids.split()) == 2
+    assert not any(_alive(int(pid)) for pid in pids.split())
+
+
+def test_import_starts_no_multiprocessing():
+    # workers start lazily: importing the package stays as light as before
+    code = "import sys, oodflow; print('multiprocessing' in sys.modules)"
+    assert _python("-c", code).strip() == "False"
 
 
 # ---------------------------------------------------------------------------
