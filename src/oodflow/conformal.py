@@ -192,6 +192,14 @@ def step(state: DetectorState, alpha: float, cal: CalibrationSet,
     return new_state, event
 
 
+def _replay(log_ms, cfg: DetectorConfig, episode_id: str, start_frame: int):
+    """Yield (exceed_count, event or None) for each log M of a trace in turn."""
+    run = (0, None, float("-inf"))
+    for offset, lm in enumerate(log_ms):
+        run, event = _advance_run(run, lm, start_frame + offset, cfg, episode_id)
+        yield run[0], event
+
+
 def events_from_curve(log_ms, cfg: DetectorConfig, episode_id: str = "",
                       start_frame: int = 0) -> list[DetectionEvent]:
     """Replay the exceedance rule over a precomputed log-martingale trace.
@@ -199,13 +207,8 @@ def events_from_curve(log_ms, cfg: DetectorConfig, episode_id: str = "",
     The trace itself does not depend on the threshold, so grid searches can
     reuse one trace across thresholds.
     """
-    events: list[DetectionEvent] = []
-    run = (0, None, float("-inf"))
-    for offset, lm in enumerate(log_ms):
-        run, event = _advance_run(run, lm, start_frame + offset, cfg, episode_id)
-        if event is not None:
-            events.append(event)
-    return events
+    return [event for _, event in _replay(log_ms, cfg, episode_id, start_frame)
+            if event is not None]
 
 
 def _flow_chunks(frames: list, params: opticflow.FlowParams):

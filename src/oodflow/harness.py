@@ -324,15 +324,24 @@ def evaluate(manifests, weights, cal: CalibrationSet, cfg: conformal.DetectorCon
 
 
 def rescore_records(records: list[EpisodeRecord], cfg: conformal.DetectorConfig):
-    """Re-run the exceedance rule on cached traces for a new threshold."""
+    """Re-run the exceedance rule on cached traces for a new threshold.
+
+    Each record's events and each curve point's exceed_count become those
+    that detect_episode gives at ``cfg``; a skipped episode has no trace.
+    """
     rescored: list[EpisodeRecord] = []
     for r in records:
-        events = []
-        if r.curve:  # a skipped episode has no trace
-            events = conformal.events_from_curve(
-                [pt.log_m for pt in r.curve], cfg, episode_id=r.episode_id,
-                start_frame=r.curve[0].frame)
-        rescored.append(replace(r, events=events))
+        events, curve = [], []
+        if r.curve:
+            runs = conformal._replay([pt.log_m for pt in r.curve], cfg,
+                                     r.episode_id, r.curve[0].frame)
+            for pt, (count, event) in zip(r.curve, runs):
+                # points are frozen, so an unchanged one is shared
+                curve.append(pt if pt.exceed_count == count
+                             else replace(pt, exceed_count=count))
+                if event is not None:
+                    events.append(event)
+        rescored.append(replace(r, events=events, curve=curve))
     return rescored
 
 

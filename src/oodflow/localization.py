@@ -17,9 +17,9 @@ from . import nnops, vae
 from .gridio import frame2d
 
 STD_FLOOR = 1e-6
-# flows encoded per batch; bounds the im2col memory.  Not vae.SCORE_CHUNK:
-# the float64 sums grow one batch at a time, so another chunk size would
-# change the statistics' bits
+# flows per float64 summation block; it fixes the order of the sums, so
+# another block size would change the statistics' bits.  The encoder itself
+# runs vae.SCORE_CHUNK rows per call whatever the block size
 STATS_CHUNK = 64
 
 

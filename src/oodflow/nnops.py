@@ -1,12 +1,12 @@
 """Convolution, dense, and resize primitives on NCHW numpy arrays.
 
-A convolution unfolds its input with im2col into (C*k*k, N*out_h*out_w)
-columns, so each conv and each weight gradient is one gemm over the batch,
-whose (C, N*H*W) output is returned as an (N, C, H, W) view.  Transposed
-convolution and the input gradient of a convolution, which is the same map,
-share one sub-pixel core that sums the taps of each pixel into a float64
-zero in ascending (i, j) order.  All functions preserve the dtype of their
-weight arguments.
+A convolution unfolds its input with im2col, one strided copy, into
+(C*k*k, N*out_h*out_w) columns, so each conv and each weight gradient is
+one gemm over the batch, whose (C, N*H*W) output is returned as an
+(N, C, H, W) view.  Transposed convolution and the input gradient of a
+convolution, which is the same map, share one sub-pixel core that sums the
+taps of each pixel into a float64 zero in ascending (i, j) order.  All
+functions preserve the dtype of their weight arguments.
 """
 
 from __future__ import annotations
@@ -21,11 +21,12 @@ def im2col(x: np.ndarray, k: int, stride: int, pad: int) -> np.ndarray:
     out_w = (w + 2 * pad - k) // stride + 1
     xp = np.zeros((c, n, h + 2 * pad, w + 2 * pad), dtype=x.dtype)
     xp[:, :, pad:pad + h, pad:pad + w] = x.transpose(1, 0, 2, 3)
-    cols = np.empty((c, k, k, n, out_h, out_w), dtype=x.dtype)
-    for i in range(k):
-        for j in range(k):
-            cols[:, i, j] = xp[:, :, i:i + stride * out_h:stride, j:j + stride * out_w:stride]
-    return cols.reshape(c * k * k, n * out_h * out_w)
+    # (C, k, k, N, out_h, out_w): window (i, j) of every output pixel, copied once
+    sc, sn, sh, sw = xp.strides
+    windows = np.lib.stride_tricks.as_strided(
+        xp, (c, k, k, n, out_h, out_w), (sc, sh, sw, sn, stride * sh, stride * sw),
+        writeable=False)
+    return np.ascontiguousarray(windows).reshape(c * k * k, n * out_h * out_w)
 
 
 def _transposed_conv(x: np.ndarray, w: np.ndarray, stride: int,
@@ -155,11 +156,16 @@ def bilinear_resize(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
 
     Sample coordinates follow x_src = (x_out + 0.5) * scale - 0.5 and are
     clamped to the source extent, so a 2x downsample of a linear ramp equals
-    the 2x2 block mean.
+    the 2x2 block mean.  The result has the dtype of ``img``.
     """
+    return _bilinear_resize(img, out_h, out_w).astype(img.dtype, copy=False)
+
+
+def _bilinear_resize(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
+    """:func:`bilinear_resize` in float64, converting only the sampled rows."""
     c, h, w = img.shape
     if (h, w) == (out_h, out_w):
-        return img.copy()
+        return img.astype(np.float64)
     ys = np.clip((np.arange(out_h) + 0.5) * (h / out_h) - 0.5, 0.0, h - 1.0)
     xs = np.clip((np.arange(out_w) + 0.5) * (w / out_w) - 0.5, 0.0, w - 1.0)
     y0 = np.floor(ys).astype(np.intp)
@@ -177,4 +183,4 @@ def bilinear_resize(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     top *= 1 - wy
     bot *= wy
     top += bot
-    return top.astype(img.dtype, copy=False)
+    return top

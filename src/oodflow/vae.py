@@ -29,9 +29,11 @@ LOGVAR_MAX = 10.0
 
 DEFAULT_MAX_FLOW = 8.0
 
-# rows per encoder batch when scoring offline.  Scoring 64 px episodes on
+# rows per inference encoder call: encode_batch runs the encoder on slices of
+# at most this many rows, so no call builds a larger im2col (enc1's columns
+# are 4 MiB at 8 rows of 64 px, 32 MiB at 64).  Scoring 64 px episodes on
 # 2 vCPUs took 0.96 ms per pair at 8 or 16 rows, 1.03 ms at 4 or 59 and
-# 1.53 ms at 1; 8 keeps a batch's im2col columns the smaller
+# 1.53 ms at 1
 SCORE_CHUNK = 8
 
 # The weights header records none of these, so they are not architecture fields.
@@ -237,18 +239,22 @@ def decoder(tensors: dict[str, np.ndarray], arch: VaeArchitecture,
 
 
 def encode_batch(weights: VaeWeights, flows: np.ndarray):
-    """Forward the encoder on (N, 2, S, S) inputs in float32.
+    """Forward the encoder on (N, 2, S, S) inputs in float32, N >= 1.
 
     Returns (mu, logvar, activations): (N, m), (N, m) with logvar clamped,
     and the post-ReLU volume of the fourth conv layer (N, C4, S/16, S/16).
+    The encoder runs on SCORE_CHUNK rows at a time, which keeps every bit,
+    since each row's outputs are those of the row encoded alone.
     """
     arch = weights.arch
     x = np.ascontiguousarray(flows, dtype=np.float32)
     expected = (INPUT_CHANNELS, arch.input_size, arch.input_size)
-    if x.ndim != 4 or x.shape[1:] != expected:
+    if x.ndim != 4 or x.shape[1:] != expected or len(x) == 0:
         raise ValueError(f"encoder input must be (N, {expected[0]}, {expected[1]}, "
-                         f"{expected[2]}), got {x.shape}")
-    mu, logvar, acts = encoder(weights.tensors, x)
+                         f"{expected[2]}) with N >= 1, got {x.shape}")
+    parts = [encoder(weights.tensors, x[start:start + SCORE_CHUNK])
+             for start in range(0, len(x), SCORE_CHUNK)]
+    mu, logvar, acts = (np.concatenate(outs) for outs in zip(*parts))
     logvar = np.clip(logvar, LOGVAR_MIN, LOGVAR_MAX)
     _check_finite("encoder outputs", mu)
     _check_finite("encoder outputs", logvar)
@@ -323,8 +329,8 @@ def preprocess(flow: np.ndarray, arch: VaeArchitecture,
     if f.ndim < 3 or f.shape[-3] != INPUT_CHANNELS:
         raise ValueError(f"flow must be (..., {INPUT_CHANNELS}, H, W), got {f.shape}")
     size = arch.input_size
-    resized = nnops.bilinear_resize(f.reshape((-1,) + f.shape[-2:]).astype(np.float64),
-                                    size, size)
+    # float64 from the rows the resize samples, not from the whole flow
+    resized = nnops._bilinear_resize(f.reshape((-1,) + f.shape[-2:]), size, size)
     clipped = np.clip(resized.reshape(f.shape[:-2] + (size, size)), -max_flow, max_flow)
     return (clipped / max_flow).astype(np.float32)
 

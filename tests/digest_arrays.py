@@ -6,11 +6,13 @@ Run it in two checkouts and diff the outputs: equal lines mean the two
 compute the same bits.  It covers the loss terms and all gradients of one
 forward and backward pass at 32 px (N=7) and 64 px (N=32), a 2-epoch
 training run's final weights and CSV log, ``encode_batch``,
-``activation_stats``, 256 px ``localization.overlay`` maps, the calibration
-scores, the ``detect_episode`` events and curves of an ID and an OOD
-episode on the trained weights and the ``evaluate`` and ``grid_search``
-results of a 4-episode corpus (scored on worker processes), and the Lucas-Kanade flows of one 256 px
-episode, streamed in order, pair by pair in reverse and from
+``activation_stats`` and the calibration scores on 11 held-out flows and
+again on 94 (one full ``STATS_CHUNK`` block and a partial one, and not a
+multiple of ``SCORE_CHUNK``), 256 px ``localization.overlay`` maps, the
+``detect_episode`` events and curves of an ID and an OOD episode on the
+trained weights and the ``evaluate`` and ``grid_search`` results of a
+4-episode corpus (scored on worker processes), and the Lucas-Kanade flows
+of one 256 px episode, streamed in order, pair by pair in reverse and from
 ``flow_sequence``, with their ``vae.preprocess`` inputs.
 The inputs are synthetic.  pytest does not collect this file.
 """
@@ -75,6 +77,16 @@ def _training(size: int, seed: int) -> None:
         print(f"train{size} overlay256.{i} {_sha(localization.overlay(acts, stats, 256))}")
     cal = trainer.build_calibration(weights, held_out)
     print(f"train{size} build_calibration {_sha(cal.scores)}")
+    # one full STATS_CHUNK block and a partial one; 94 rows are not a
+    # multiple of SCORE_CHUNK either
+    many = list(_flows(size, 59, seed + 300)) + list(_flows(size, 35, seed + 301))
+    for name, arr in zip(("mu", "logvar", "acts"), vae.encode_batch(weights, np.stack(many))):
+        print(f"train{size} encode_batch{len(many)}.{name} {_sha(arr)}")
+    stats_many = localization.activation_stats(weights, many)
+    print(f"train{size} activation_stats{len(many)}.mean {_sha(stats_many.mean)}")
+    print(f"train{size} activation_stats{len(many)}.std {_sha(stats_many.std)}")
+    print(f"train{size} build_calibration{len(many)} "
+          f"{_sha(trainer.build_calibration(weights, many).scores)}")
     scene = synthdata.SceneConfig(size=size, seed=seed + 100)
     anomaly = synthdata.AnomalySpec("velocity_reversal", 30, 1.0)
     for name, ep in (("id", synthdata.gen_id_episode(scene)),

@@ -211,14 +211,6 @@ def test_worker_records_equal_in_process_loop(corpus32, trained32, two_workers):
     blas_env = {k: os.environ.get(k) for k in harness._BLAS_THREAD_VARS}
     _, records = harness.evaluate(manifests, weights, cal, cfg)
     assert repr(records) == repr(_loop_records(manifests, weights, cal, cfg))
-    best, _, records = harness.grid_search(manifests, weights, cal,
-                                           [1.0, 3.0, 8.0], cfg)
-    # the curves are traced once at cfg; the events are those at the best tau
-    at_best = _loop_records(manifests, weights, cal,
-                            replace(cfg, log_threshold=best))
-    want = [replace(r, events=b.events)
-            for r, b in zip(_loop_records(manifests, weights, cal, cfg), at_best)]
-    assert repr(records) == repr(want)
     # the workers run one BLAS thread; this process's environment is restored
     assert {k: os.environ.get(k) for k in harness._BLAS_THREAD_VARS} == blas_env
     for proc in harness._pool.procs:
@@ -226,6 +218,22 @@ def test_worker_records_equal_in_process_loop(corpus32, trained32, two_workers):
         if environ.exists():  # the environment the worker started with
             assert {f"{k}=1".encode() for k in harness._BLAS_THREAD_VARS} <= set(
                 environ.read_bytes().split(b"\0"))
+
+
+def test_grid_search_records_at_best_equal_detect_episode(corpus32, trained32,
+                                                         two_workers):
+    # traced once at cfg's threshold and rescored: events and every curve
+    # point's exceed_count are those of detect_episode at the best threshold
+    _, manifests = corpus32
+    weights, cal, cfg = trained32["weights"], trained32["cal"], trained32["detector"]
+    best, _, records = harness.grid_search(manifests, weights, cal,
+                                           [1.0, 3.0, 8.0], cfg)
+    assert best != cfg.log_threshold
+    at_best = _loop_records(manifests, weights, cal, replace(cfg, log_threshold=best))
+    assert repr(records) == repr(at_best)
+    base = _loop_records(manifests, weights, cal, cfg)
+    assert [pt.exceed_count for r in records for pt in r.curve] != [
+        pt.exceed_count for r in base for pt in r.curve]
 
 
 def test_workers_follow_changed_weights(corpus32, trained32, two_workers):

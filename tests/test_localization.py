@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -38,6 +40,25 @@ def test_stats_permutation_invariant(trained32):
     b = localization.activation_stats(trained32["weights"], flows[::-1])
     np.testing.assert_allclose(a.mean, b.mean, rtol=1e-6, atol=1e-8)
     np.testing.assert_allclose(a.std, b.std, rtol=1e-5, atol=1e-7)
+
+
+def test_stats_memory_peak_is_one_encoder_chunk():
+    # a full STATS_CHUNK block and one more flow at 64 px; the encoder runs
+    # vae.SCORE_CHUNK rows at a time, so no call holds a 64-row im2col
+    # (enc1's alone is 32 MiB)
+    arch = vae.VaeArchitecture()
+    w = vae.init_weights(arch, 1)
+    rng = np.random.default_rng(2)
+    flows = [rng.uniform(-1, 1, size=(2, 64, 64)).astype(np.float32)
+             for _ in range(localization.STATS_CHUNK + 1)]
+    tracemalloc.start()
+    try:
+        stats = localization.activation_stats(w, flows)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert stats.count == len(flows)
+    assert peak < 16 << 20
 
 
 def test_stats_requires_two_samples(trained32):

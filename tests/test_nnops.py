@@ -196,6 +196,16 @@ def test_bilinear_identity_when_same_size():
     np.testing.assert_array_equal(nnops.bilinear_resize(img, 8, 8), img)
 
 
+@pytest.mark.parametrize("out", [(8, 8), (3, 5)])
+def test_bilinear_core_is_float64_of_the_resize(out):
+    # the core preprocess calls: float64 bits of the float64 resize, and a
+    # new array even at the same size
+    img = np.random.default_rng(11).normal(size=(2, 8, 8)).astype(np.float32)
+    got = nnops._bilinear_resize(img, *out)
+    assert got.dtype == np.float64 and not np.shares_memory(got, img)
+    np.testing.assert_array_equal(got, nnops.bilinear_resize(img.astype(np.float64), *out))
+
+
 def test_bilinear_upsample_delta_peak_in_block():
     img = np.zeros((1, 4, 4))
     img[0, 1, 2] = 1.0

@@ -67,12 +67,34 @@ def test_encode_batch_volume_batch_invariant(batch64):
     # mu, logvar and the last-conv volume of each flow in a batch equal the
     # flow's own, bit for bit, so batched scores equal streamed ones
     w, flows, alone = batch64
-    for n in (2, 5, 16, 59):
+    for n in (2, 5, 16, 2 * vae.SCORE_CHUNK + 3, 59):
         batched = vae.encode_batch(w, flows[:n])
         assert batched[2].flags.c_contiguous
         for i in range(n):
             for name, got, want in zip(("mu", "logvar", "volume"), batched, alone[i]):
                 assert np.array_equal(got[i:i + 1], want), f"{name} of row {i} at N={n}"
+
+
+def test_encode_batch_runs_encoder_on_score_chunk_rows(batch64, monkeypatch):
+    # two full SCORE_CHUNK slices and a partial one; the rows' values are
+    # checked against the one-row calls above
+    w, flows, _ = batch64
+    rows = []
+    encoder = vae.encoder
+
+    def counting(tensors, x, tape=None):
+        rows.append(len(x))
+        return encoder(tensors, x, tape)
+
+    monkeypatch.setattr(vae, "encoder", counting)
+    vae.encode_batch(w, flows[:2 * vae.SCORE_CHUNK + 3])
+    assert rows == [vae.SCORE_CHUNK, vae.SCORE_CHUNK, 3]
+
+
+def test_encode_batch_rejects_empty_batch(batch64):
+    w, flows, _ = batch64
+    with pytest.raises(ValueError, match="N >= 1"):
+        vae.encode_batch(w, flows[:0])
 
 
 def test_score_batch_rows_match_score_flow(batch64):
