@@ -77,13 +77,15 @@ def conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray, stride: int,
     """Strided convolution; weight layout (out_c, in_c, k, k).
 
     Returns the output and the im2col cache needed by the backward pass.
+    The bias is added in place on the gemm's output.
     """
     n, _, h, width = x.shape
     oc, _, k, _ = w.shape
     cols = im2col(x, k, stride, pad)
     out_h = (h + 2 * pad - k) // stride + 1
     out_w = (width + 2 * pad - k) // stride + 1
-    y = w.reshape(oc, -1) @ cols + b[:, None]
+    y = w.reshape(oc, -1) @ cols
+    y += b[:, None]
     return y.reshape(oc, n, out_h, out_w).transpose(1, 0, 2, 3), cols
 
 
@@ -144,10 +146,16 @@ def linear_backward(dy: np.ndarray, x: np.ndarray, w: np.ndarray):
 
 
 def relu(x: np.ndarray) -> np.ndarray:
-    return np.maximum(x, 0)
+    """max(x, 0), written over ``x``; returns ``x``."""
+    return np.maximum(x, 0, out=x)
 
 
 def relu_backward(dy: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """dy where x > 0, else 0.
+
+    ``x`` may be the pre-activation, the ReLU's output or the boolean mask
+    ``pre > 0``: all three give the same bits.
+    """
     return dy * (x > 0)
 
 

@@ -192,16 +192,17 @@ def encoder(tensors: dict[str, np.ndarray], x: np.ndarray,
     """The encoder network on (N, C, S, S) inputs, in the dtype of ``tensors``.
 
     Returns (mu, raw logvar, last-conv volume); callers clamp logvar.  With
-    a ``tape``, each conv layer appends (im2col columns, pre-activation)
-    for the backward pass.  Without one, every row's outputs are bit for
-    bit those of the row encoded alone.
+    a ``tape``, each conv layer appends (im2col columns, ReLU mask), the
+    mask being the boolean ``pre-activation > 0``, for the backward pass.
+    Each ReLU writes over its pre-activation.  Without a tape, every row's
+    outputs are bit for bit those of the row encoded alone.
     """
     h = x
     for i in range(4):
         y, cols = nnops.conv2d(h, tensors[f"enc{i}_w"], tensors[f"enc{i}_b"],
                                STRIDE, PADDING)
         if tape is not None:
-            tape.append((cols, y))
+            tape.append((cols, y > 0))
         h = nnops.relu(y)
         del y, cols  # without a tape, free them before the next im2col
     # C-contiguous, so that sums over the volume keep a fixed order
@@ -221,20 +222,23 @@ def decoder(tensors: dict[str, np.ndarray], arch: VaeArchitecture,
             z: np.ndarray, tape: list | None = None) -> np.ndarray:
     """The decoder network on (N, m) latents; returns a C-contiguous (N, C, S, S).
 
-    With a ``tape``, the dense layer and then each transposed conv append
-    (input, pre-activation) for the backward pass.
+    With a ``tape``, the dense layer appends (z, ReLU mask), each of the
+    transposed convs tdec0-tdec2 appends (input, ReLU mask), and tdec3,
+    whose output is the reconstruction, appends (input, None), for the
+    backward pass.  Each ReLU writes over its pre-activation.
     """
     pre = nnops.linear(z, tensors["dec_w"], tensors["dec_b"])
     if tape is not None:
-        tape.append((z, pre))
+        tape.append((z, pre > 0))
     h = nnops.relu(pre).reshape(z.shape[0], arch.conv_channels[-1],
                                 arch.grid_size, arch.grid_size)
     for i in range(4):
         y = nnops.conv_transpose2d(h, tensors[f"tdec{i}_w"], tensors[f"tdec{i}_b"],
                                    STRIDE, PADDING)
+        last = i == 3  # the reconstruction: no ReLU, so no mask
         if tape is not None:
-            tape.append((h, y))
-        h = nnops.relu(y) if i < 3 else y
+            tape.append((h, None if last else y > 0))
+        h = y if last else nnops.relu(y)
     return np.ascontiguousarray(h)
 
 

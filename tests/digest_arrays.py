@@ -11,7 +11,8 @@ again on 94 (one full ``STATS_CHUNK`` block and a partial one, and not a
 multiple of ``SCORE_CHUNK``), 256 px ``localization.overlay`` maps, the
 ``detect_episode`` events and curves of an ID and an OOD episode on the
 trained weights and the ``evaluate`` and ``grid_search`` results of a
-4-episode corpus (scored on worker processes), and the Lucas-Kanade flows
+4-episode corpus (scored on worker processes) at thresholds that raise no
+alarm and at thresholds that raise some, and the Lucas-Kanade flows
 of one 256 px episode, streamed in order, pair by pair in reverse and from
 ``flow_sequence``, with their ``vae.preprocess`` inputs.
 The inputs are synthetic.  pytest does not collect this file.
@@ -21,11 +22,14 @@ from __future__ import annotations
 
 import hashlib
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from oodflow import conformal, harness, localization, opticflow, synthdata, trainer, vae
+
+LOW_THRESHOLDS = (-2.2, -2.0, -1.7, -1.0)
 
 
 def _sha(arr) -> str:
@@ -104,6 +108,17 @@ def _training(size: int, seed: int) -> None:
         text = repr(harness.grid_search(manifests, weights, cal, (1.0, 3.0, 8.0),
                                         cfg)).encode()
         print(f"train{size} grid_search {hashlib.sha256(text).hexdigest()}")
+        # log M never exceeds 1 here, so the thresholds above raise nothing.
+        # Each episode's best run of 10 frames stays above a level between
+        # -2.27 and -1.56 nats, so at 64 px these raise 3, 2, 1 and 0 alarms,
+        # and -1.0 still counts exceedances
+        for tau in LOW_THRESHOLDS:
+            text = repr(harness.evaluate(manifests, weights, cal,
+                                         replace(cfg, log_threshold=tau))).encode()
+            print(f"train{size} evaluate@{tau} {hashlib.sha256(text).hexdigest()}")
+        text = repr(harness.grid_search(manifests, weights, cal, LOW_THRESHOLDS,
+                                        cfg)).encode()
+        print(f"train{size} grid_search{LOW_THRESHOLDS} {hashlib.sha256(text).hexdigest()}")
 
 
 def _stream(size: int, seed: int) -> None:

@@ -173,8 +173,13 @@ def test_linear_backward_exact():
 
 def test_relu_and_backward():
     x = np.array([-1.0, 0.0, 2.0])
-    np.testing.assert_array_equal(nnops.relu(x), [0, 0, 2])
+    mask = x > 0
     np.testing.assert_array_equal(nnops.relu_backward(np.ones(3), x), [0, 0, 1])
+    np.testing.assert_array_equal(nnops.relu_backward(np.ones(3), mask), [0, 0, 1])
+    y = nnops.relu(x)
+    assert y is x  # written over its input
+    np.testing.assert_array_equal(y, [0, 0, 2])
+    np.testing.assert_array_equal(nnops.relu_backward(np.ones(3), y), [0, 0, 1])
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -121,6 +123,40 @@ def test_train_rejects_empty_dataset(tiny_arch):
         trainer.train([], TrainConfig(epochs=1), tiny_arch)
 
 
+def test_train_rejects_wrong_and_mixed_shapes(tiny_arch):
+    data = _flow_dataset(tiny_arch, 3)
+    with pytest.raises(ValueError, match="dataset items must have shape"):
+        trainer.train([d[:, :8] for d in data], TrainConfig(epochs=1), tiny_arch)
+    with pytest.raises(ValueError, match="dataset items must have shape"):
+        trainer.train(data + [data[0][:, :8]], TrainConfig(epochs=1), tiny_arch)
+
+
+def test_train_converts_items_to_float64_exactly(tiny_arch):
+    data = _flow_dataset(tiny_arch, 6)
+    cfg = TrainConfig(epochs=2, seed=5, batch_size=4)
+    w1, log1 = trainer.train(data, cfg, tiny_arch)
+    w2, log2 = trainer.train(np.stack(data).astype(np.float64), cfg, tiny_arch)
+    assert log1 == log2
+    for name in w1.tensors:
+        assert np.array_equal(w1.tensors[name], w2.tensors[name])
+
+
+def test_train_peak_memory_holds_one_slim_tape():
+    # one epoch at 64 px, batch 32: three steps.  Keeping the previous
+    # step's tape alive through the next forward, with float64
+    # pre-activations, peaked at 300 MiB; one tape of im2col columns and
+    # ReLU masks per step peaks at about 190 MiB
+    arch = VaeArchitecture(input_size=64)
+    data = _flow_dataset(arch, 96, seed=4)
+    tracemalloc.start()
+    try:
+        trainer.train(data, TrainConfig(epochs=1, batch_size=32, seed=0), arch)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 250 * 2 ** 20
+
+
 def test_train_aborts_on_divergence(tiny_arch):
     # a step this large overflows the next forward pass to non-finite values
     data = _flow_dataset(tiny_arch, 8)
@@ -225,6 +261,18 @@ def test_backward_matches_gemm_col2im_oracle(monkeypatch):
     assert sorted(got) == sorted(arch.tensor_shapes())
     for name in want:
         assert np.array_equal(got[name], want[name]), name
+
+
+def test_tape_holds_masks_and_backward_empties_it(tiny_arch):
+    params = vae.init_params(tiny_arch, 3)
+    x = np.stack(_flow_dataset(tiny_arch, 2)).astype(np.float64)
+    cache = trainer._forward(params, tiny_arch, x, np.zeros((2, tiny_arch.latent_dim)), 1.0)[3]
+    enc_tape, dec_tape = cache["enc_tape"], cache["dec_tape"]
+    assert len(enc_tape) == 4 and len(dec_tape) == 5
+    assert all(mask.dtype == bool for _, mask in enc_tape + dec_tape[:4])
+    assert dec_tape[4][1] is None  # tdec3's output is the reconstruction
+    trainer._backward(params, cache, 1.0)
+    assert enc_tape == [] and dec_tape == []
 
 
 # ---------------------------------------------------------------------------
