@@ -241,26 +241,20 @@ def read_manifest(path) -> EpisodeManifest:
     fps = doc.get("fps")
     if fps is not None and not (_is_int(fps) or isinstance(fps, float)):
         raise ValueError("fps must be a number")
-    base = path.parent
-    resolved = tuple(base / f if not Path(f).is_absolute() else Path(f) for f in frames)
-    return EpisodeManifest(
-        id=str(doc["id"]),
-        frame_paths=resolved,
-        label=doc["label"],
-        onset_frame=onset,
-        fps=float(fps) if fps is not None else None,
-    )
+    # joining an absolute path keeps it as it is
+    resolved = tuple(path.parent / f for f in frames)
+    return EpisodeManifest(id=str(doc["id"]), frame_paths=resolved, label=doc["label"],
+                           onset_frame=onset,
+                           fps=float(fps) if fps is not None else None)
 
 
 def write_manifest(path, manifest: EpisodeManifest) -> None:
     """Write a manifest as JSON with frame paths relative to its directory."""
-    path = Path(path)
-    base = path.parent
-    doc = {
-        "id": manifest.id,
-        "frames": [_relativize(p, base) for p in manifest.frame_paths],
-        "label": manifest.label,
-    }
+    base = Path(path).parent
+    frames = map(Path, manifest.frame_paths)
+    doc = {"id": manifest.id, "label": manifest.label,
+           "frames": [(p.relative_to(base) if p.is_relative_to(base) else p).as_posix()
+                      for p in frames]}
     if manifest.onset_frame is not None:
         doc["onset_frame"] = manifest.onset_frame
     if manifest.fps is not None:
@@ -268,10 +262,3 @@ def write_manifest(path, manifest: EpisodeManifest) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-
-def _relativize(p: Path, base: Path) -> str:
-    try:
-        return Path(p).relative_to(base).as_posix()
-    except ValueError:
-        return Path(p).as_posix()

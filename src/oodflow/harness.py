@@ -13,11 +13,12 @@ import atexit
 import hashlib
 import json
 import os
+import tempfile
 import time
-import traceback
 import warnings
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -176,120 +177,75 @@ def _weights_key(weights: vae.VaeWeights) -> str:
     return h.hexdigest()
 
 
-def _send_weights(conn, weights: vae.VaeWeights) -> None:
-    """Send weights down a pipe; each tensor goes as its own bytes, uncopied."""
-    specs = [(name, t.dtype.str, t.shape) for name, t in weights.tensors.items()]
-    conn.send(("weights", weights.arch, weights.max_flow, specs))
-    for t in weights.tensors.values():
-        conn.send_bytes(np.ascontiguousarray(t))
+_worker_weights: vae.VaeWeights | None = None  # in a worker: the weights it scores with
 
 
-class _WorkerTraceback(Exception):
-    """The traceback text of an error raised in a worker process."""
+def _load_worker_weights(arch, max_flow, path) -> None:
+    """A worker's initializer: the caller's tensors, with every dtype and bit."""
+    global _worker_weights
+    with np.load(path) as saved:
+        _worker_weights = vae.VaeWeights(arch, max_flow, {k: saved[k] for k in saved.files})
 
 
-def _serve(conn) -> None:
-    """A worker's loop: keep the last weights it is sent, score each share it gets.
-
-    Replies ("records", records) or ("error", exception, traceback text).
-    """
-    weights = None
-    while True:
-        try:
-            message = conn.recv()
-        except EOFError:  # the parent ended without stopping this worker
-            return
-        if message[0] == "weights":
-            _, arch, max_flow, specs = message
-            # copied out of the received bytes into arrays of their own, as
-            # vae.load_weights gives them
-            tensors = {name: np.frombuffer(conn.recv_bytes(), dtype).reshape(shape).copy()
-                       for name, dtype, shape in specs}
-            weights = vae.VaeWeights(arch=arch, max_flow=max_flow, tensors=tensors)
-            continue
-        _, manifests, cal, cfg = message
-        try:
-            reply = ("records", _score_episodes(manifests, weights, cal, cfg))
-        except Exception as exc:  # the parent raises it
-            reply = ("error", exc, traceback.format_exc())
-        conn.send(reply)
+def _score_in_worker(manifest, cal, cfg) -> EpisodeRecord:
+    return _score_episodes([manifest], _worker_weights, cal, cfg)[0]
 
 
-class _WorkerPool:
-    """One spawned worker process per usable core, each with one BLAS thread.
-
-    Worker i scores every n-th episode from the i-th on.  Each worker keeps
-    the last weights it was sent, so a set of weights crosses to a worker
-    once, not with every share.
-    """
-
-    def __init__(self, n: int):
-        import multiprocessing
-
-        context = multiprocessing.get_context("spawn")
-        self.pid = os.getpid()
-        self.broken = False
-        self.held: list[str | None] = [None] * n  # digest of each worker's weights
-        self.conns, self.procs = [], []
-        with _one_blas_thread():  # a spawned process inherits the environment
-            for _ in range(n):
-                conn, child_conn = context.Pipe()
-                proc = context.Process(target=_serve, args=(child_conn,), daemon=True)
-                proc.start()
-                child_conn.close()
-                self.conns.append(conn)
-                self.procs.append(proc)
-        atexit.register(self.shutdown)
-
-    def score(self, manifests, weights, cal, cfg) -> list[EpisodeRecord]:
-        n = len(self.conns)
-        key = _weights_key(weights)
-        try:
-            for i, conn in enumerate(self.conns):
-                if self.held[i] != key:
-                    _send_weights(conn, weights)
-                    self.held[i] = key
-                conn.send(("score", manifests[i::n], cal, cfg))
-            replies = [conn.recv() for conn in self.conns]
-        except BaseException as exc:
-            # a worker that died or a call cut short leaves the pipes out of step
-            self.broken = True
-            self.shutdown()
-            if isinstance(exc, (EOFError, OSError)):
-                raise ChildProcessError("an evaluation worker ended unexpectedly") from exc
-            raise
-        for reply in replies:
-            if reply[0] == "error":
-                raise reply[1] from _WorkerTraceback(reply[2])
-        shares = [reply[1] for reply in replies]
-        return [shares[j % n][j // n] for j in range(len(manifests))]
-
-    def shutdown(self) -> None:
-        """Terminate the workers; closing their pipes is not enough, since a
-        forked copy of this process may hold them open."""
-        if self.pid == os.getpid():  # not a copy inherited through a fork
-            for conn in self.conns:
-                conn.close()
-            for proc in self.procs:
-                proc.terminate()
-                proc.join()
-        self.conns, self.procs = [], []
+# (pid, weights digest, weights file, executor) of this process's pool
+_pool = None
 
 
-_pool: _WorkerPool | None = None
-
-
-def _worker_pool() -> _WorkerPool:
-    """This process's pool, started on first use and again after a fork or a failure."""
+def _drop_pool() -> None:
+    """Stop this process's pool and delete its weights file; a pool
+    inherited through a fork is the parent's, and is only forgotten."""
     global _pool
-    if _pool is None or _pool.pid != os.getpid() or _pool.broken:
-        _pool = _WorkerPool(_usable_cores())
-    return _pool
+    if _pool is not None and _pool[0] == os.getpid():
+        _pool[3].shutdown(cancel_futures=True)
+        os.remove(_pool[2])
+    _pool = None
+
+
+atexit.register(_drop_pool)
+
+
+def _executor(weights: vae.VaeWeights):
+    """This process's pool for ``weights``: one spawned worker per usable core.
+
+    Replaced after a fork, a dead worker or a change of weights.  The weights
+    cross once, as a private .npz file that each worker loads as it starts.
+    """
+    global _pool
+    key = _weights_key(weights)
+    if _pool is None or _pool[:2] != (os.getpid(), key):
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        _drop_pool()
+        fd, path = tempfile.mkstemp(prefix="oodflow-weights-", suffix=".npz")
+        with open(fd, "wb") as fh:
+            np.savez(fh, **weights.tensors)
+        executor = ProcessPoolExecutor(
+            _usable_cores(), multiprocessing.get_context("spawn"),
+            initializer=_load_worker_weights,
+            initargs=(weights.arch, weights.max_flow, path))
+        _pool = (os.getpid(), key, path, executor)
+    return _pool[3]
 
 
 def _run_episodes(manifests, weights, cal, cfg) -> list[EpisodeRecord]:
     if len(manifests) > 1 and _usable_cores() > 1:
-        records = _worker_pool().score(manifests, weights, cal, cfg)
+        from concurrent.futures.process import BrokenProcessPool
+
+        try:
+            # a spawn-context executor starts its workers in submit, with
+            # this process's environment
+            with _one_blas_thread():
+                results = _executor(weights).map(
+                    partial(_score_in_worker, cal=cal, cfg=cfg), manifests)
+            records = list(results)
+        except BrokenProcessPool as exc:
+            _drop_pool()
+            raise ChildProcessError("an evaluation worker ended unexpectedly") from exc
     else:
         records = _score_episodes(manifests, weights, cal, cfg)
     for r in records:
@@ -358,8 +314,7 @@ def grid_search(manifests, weights, cal: CalibrationSet, thresholds,
         raise ValueError("thresholds must be nonempty")
     base_records = _run_episodes(manifests, weights, cal, cfg)
     table: list[tuple[float, Metrics]] = []
-    best = None
-    best_records = None
+    best = None  # (key, threshold, records)
     for tau_cfg in configs:
         tau = tau_cfg.log_threshold
         records = rescore_records(base_records, tau_cfg)
@@ -367,9 +322,8 @@ def grid_search(manifests, weights, cal: CalibrationSet, thresholds,
         table.append((tau, metrics))
         key = (metrics.f1, -metrics.fpr, -tau)
         if best is None or key > best[0]:
-            best = (key, tau)
-            best_records = records
-    return best[1], table, best_records
+            best = (key, tau, records)
+    return best[1], table, best[2]
 
 
 # ---------------------------------------------------------------------------
@@ -397,7 +351,7 @@ def measure_latency(frames, weights, cal: CalibrationSet,
 
     pairs = list(zip(frames, frames[1:]))
     state = conformal.DetectorState()
-    totals, flows_t, encodes_t, conformals_t = [], [], [], []
+    stage_ms = np.empty((reps, 3))  # flow, encode, conformal, per decision
     for i in range(warmup + reps):
         a, b = pairs[i % len(pairs)]
         t0 = time.perf_counter()
@@ -408,18 +362,12 @@ def measure_latency(frames, weights, cal: CalibrationSet,
         state, _ = conformal.step(state, alpha, cal, cfg)
         t3 = time.perf_counter()
         if i >= warmup:
-            totals.append((t3 - t0) * 1e3)
-            flows_t.append((t1 - t0) * 1e3)
-            encodes_t.append((t2 - t1) * 1e3)
-            conformals_t.append((t3 - t2) * 1e3)
-    return LatencyReport(
-        mean_ms=float(np.mean(totals)),
-        p95_ms=float(np.percentile(totals, 95)),
-        flow_ms=float(np.mean(flows_t)),
-        encode_ms=float(np.mean(encodes_t)),
-        conformal_ms=float(np.mean(conformals_t)),
-        reps=reps,
-    )
+            stage_ms[i - warmup] = np.diff([t0, t1, t2, t3]) * 1e3
+    totals = stage_ms.sum(axis=1)
+    flow_ms, encode_ms, conformal_ms = stage_ms.mean(axis=0).tolist()
+    return LatencyReport(mean_ms=float(totals.mean()), p95_ms=float(np.percentile(totals, 95)),
+                         flow_ms=flow_ms, encode_ms=encode_ms, conformal_ms=conformal_ms,
+                         reps=reps)
 
 
 # ---------------------------------------------------------------------------

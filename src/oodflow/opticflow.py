@@ -9,6 +9,7 @@ are biased toward zero flow by the regularizer instead of blowing up.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 from scipy.ndimage import gaussian_filter, uniform_filter
@@ -30,12 +31,14 @@ class FlowParams:
     presmooth_sigma: float = 1.0
 
     def __post_init__(self):
-        if self.window_radius < 1:
-            raise ValueError("window_radius must be >= 1")
-        if self.regularization < 0:
-            raise ValueError("regularization must be >= 0")
-        if self.presmooth_sigma < 0:
-            raise ValueError("presmooth_sigma must be >= 0")
+        # a fractional radius would widen the window, and NaN passes any `< 0`
+        radius = self.window_radius
+        if not (isinstance(radius, Integral) and radius >= 1):
+            raise ValueError(f"window_radius must be an integer >= 1, got {radius!r}")
+        for name in ("regularization", "presmooth_sigma"):
+            value = getattr(self, name)
+            if not (np.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be finite and >= 0, got {value}")
 
 
 # (sigma, float32 bits, read-only float64 result) of the last frame _blur

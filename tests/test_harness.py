@@ -1,8 +1,10 @@
 import json
+import multiprocessing
 import os
 import shutil
 import subprocess
 import sys
+import tempfile
 from dataclasses import replace
 from pathlib import Path
 
@@ -213,7 +215,7 @@ def test_worker_records_equal_in_process_loop(corpus32, trained32, two_workers):
     assert repr(records) == repr(_loop_records(manifests, weights, cal, cfg))
     # the workers run one BLAS thread; this process's environment is restored
     assert {k: os.environ.get(k) for k in harness._BLAS_THREAD_VARS} == blas_env
-    for proc in harness._pool.procs:
+    for proc in multiprocessing.active_children():
         environ = Path(f"/proc/{proc.pid}/environ")
         if environ.exists():  # the environment the worker started with
             assert {f"{k}=1".encode() for k in harness._BLAS_THREAD_VARS} <= set(
@@ -236,15 +238,27 @@ def test_grid_search_records_at_best_equal_detect_episode(corpus32, trained32,
         pt.exceed_count for r in base for pt in r.curve]
 
 
-def test_workers_follow_changed_weights(corpus32, trained32, two_workers):
-    # each worker keeps the last weights it was sent; a new set must replace
-    # them and an earlier set must come back, over an uneven split of 5
+def test_workers_follow_changed_weights(corpus32, trained32, two_workers,
+                                        tmp_path, monkeypatch):
+    # the workers score with the caller's weights bit for bit: float64
+    # tensors that float32 cannot hold and a max_flow float32 rounds both
+    # reach them unchanged.  Each change of weights replaces the pool and
+    # deletes the replaced pool's weights file, over an uneven split of 5.
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
     manifests = corpus32[1][:5]
     cal, cfg = trained32["cal"], trained32["detector"]
+    trained = trained32["weights"]
+    exact = replace(trained, max_flow=0.1, tensors={
+        k: v.astype(np.float64) * (1 + 2.0 ** -40) for k, v in trained.tensors.items()})
+    assert float(np.float32(exact.max_flow)) != exact.max_flow
     fresh = vae.init_weights(trained32["arch"], 7)
-    for weights in (trained32["weights"], fresh, trained32["weights"]):
+    handoffs = set()
+    for weights in (exact, trained, fresh, trained):
         _, records = harness.evaluate(manifests, weights, cal, cfg)
         assert repr(records) == repr(_loop_records(manifests, weights, cal, cfg))
+        files = list(tmp_path.iterdir())
+        assert len(files) == 1 and files[0] not in handoffs
+        handoffs.add(files[0])
 
 
 def test_worker_numeric_error_reaches_caller(corpus32, trained32, two_workers,
@@ -261,6 +275,7 @@ def test_worker_numeric_error_reaches_caller(corpus32, trained32, two_workers,
     with pytest.raises(vae.NumericError) as remote:
         harness.evaluate(manifests, big, cal, cfg)
     assert str(remote.value) == str(local.value)
+    assert "detect_episode" in str(remote.value.__cause__)  # the worker's traceback
     vae.save_weights(tmp_path / "big.bin", big)
     harness.save_calibration(tmp_path / "cal.json", cal, trained32["stats"])
     rc = cli.main(["eval", "--corpus", str(root), "--weights", str(tmp_path / "big.bin"),
@@ -275,13 +290,13 @@ def test_dead_worker_fails_the_call_and_the_next_call_rebuilds(
     manifests = corpus32[1][:2]
     weights, cal, cfg = trained32["weights"], trained32["cal"], trained32["detector"]
     harness.evaluate(manifests, weights, cal, cfg)
-    dead = harness._pool.procs[0]
+    dead = multiprocessing.active_children()[0]
     dead.kill()
     dead.join(timeout=30)
     with pytest.raises(ChildProcessError, match="worker ended unexpectedly"):
         harness.evaluate(manifests, weights, cal, cfg)
     _, records = harness.evaluate(manifests, weights, cal, cfg)
-    assert dead not in harness._pool.procs
+    assert dead not in multiprocessing.active_children()
     assert repr(records) == repr(_loop_records(manifests, weights, cal, cfg))
 
 
@@ -336,25 +351,26 @@ if __name__ == "__main__":
 """
 
 
-def _python(*args) -> str:
-    """Run a Python process on this package; return its standard output."""
+def _python(*args, **env) -> subprocess.CompletedProcess:
+    """Run a Python process on this package, with ``env`` added to the environment."""
     src = str(Path(harness.__file__).resolve().parent.parent)
     path = os.pathsep.join([src] + ([os.environ["PYTHONPATH"]]
                                     if os.environ.get("PYTHONPATH") else []))
-    proc = subprocess.run([sys.executable, *map(str, args)], capture_output=True,
-                          text=True, timeout=120, env={**os.environ, "PYTHONPATH": path})
+    proc = subprocess.run([sys.executable, *map(str, args)], capture_output=True, text=True,
+                          timeout=120, env={**os.environ, "PYTHONPATH": path, **env})
     assert proc.returncode == 0, proc.stderr
-    return proc.stdout
+    return proc
 
 
-def _run_script(text, tmp_path, *args) -> str:
+def _run_script(text, tmp_path, *args, **env) -> subprocess.CompletedProcess:
     script = tmp_path / "script.py"
     script.write_text(text)
-    return _python(script, *args)
+    return _python(script, *args, **env)
 
 
 def test_pool_is_rebuilt_after_fork(corpus32, tmp_path):
-    assert _run_script(_FORK_SCRIPT, tmp_path, corpus32[0]).split() == ["0", "True"]
+    proc = _run_script(_FORK_SCRIPT, tmp_path, corpus32[0])
+    assert proc.stdout.split() == ["0", "True"]
 
 
 def _alive(pid: int) -> bool:
@@ -367,16 +383,21 @@ def _alive(pid: int) -> bool:
 
 def test_script_with_workers_exits_cleanly(corpus32, tmp_path):
     # a script that evaluates and returns neither hangs at exit nor leaves
-    # its workers running
-    pids, count = _run_script(_SCRIPT, tmp_path, corpus32[0]).splitlines()
+    # its workers running or its weights file behind, and prints no error
+    # while it shuts down
+    tmp = tmp_path / "tmp"
+    tmp.mkdir()
+    proc = _run_script(_SCRIPT, tmp_path, corpus32[0], TMPDIR=str(tmp))
+    pids, count = proc.stdout.splitlines()
     assert count == "2" and len(pids.split()) == 2
     assert not any(_alive(int(pid)) for pid in pids.split())
+    assert list(tmp.iterdir()) == [] and proc.stderr == ""
 
 
 def test_import_starts_no_multiprocessing():
     # workers start lazily: importing the package stays as light as before
     code = "import sys, oodflow; print('multiprocessing' in sys.modules)"
-    assert _python("-c", code).strip() == "False"
+    assert _python("-c", code).stdout.strip() == "False"
 
 
 # ---------------------------------------------------------------------------

@@ -133,6 +133,19 @@ def test_flow_params_validation():
         FlowParams(presmooth_sigma=-0.5)
 
 
+@pytest.mark.parametrize("name,value", [
+    ("regularization", np.nan), ("regularization", np.inf),
+    ("presmooth_sigma", np.nan), ("presmooth_sigma", np.inf),
+    ("window_radius", 2.5), ("window_radius", 2.0),
+])
+def test_flow_params_rejects_non_finite_and_fractional_values(name, value):
+    # each of these used to be accepted: NaN regularization gave all-NaN
+    # flows, NaN sigma skipped the blur, infinite sigma overflowed inside
+    # scipy, and a radius of 2.5 ran a 6-wide window
+    with pytest.raises(ValueError, match=name):
+        FlowParams(**{name: value})
+
+
 # sha256 of the float32 flow bytes of a seeded random pair, with the default
 # parameters and with presmooth_sigma=0, as the per-call implementation that
 # blurred both frames and filtered each window sum separately computed them
