@@ -44,8 +44,9 @@ print(f"intruder enters quadrant {spec.region!r} at frame {spec.onset}; "
 
 flow = opticflow.lucas_kanade(episode.frames[frame_idx - 1],
                               episode.frames[frame_idx])
-out = vae.encode(weights, vae.preprocess(flow, arch, weights.max_flow))
-overlay_map = localization.overlay(out.last_conv_activations, stats, SIZE)
+x = vae.preprocess(flow[np.newaxis], arch, weights.max_flow)
+acts = vae.score_batch(weights, x)[2][0]
+overlay_map = localization.overlay(acts, stats, SIZE)
 composite = localization.render(episode.frames[frame_idx], overlay_map,
                                 threshold=0.5)
 

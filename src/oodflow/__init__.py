@@ -24,6 +24,6 @@ from .trainer import (TrainConfig, build_calibration, gradient_check,
                       split_calibration, train)
 from .vae import (EncodeOutput, LatentPosterior, NumericError,
                   VaeArchitecture, VaeWeights, encode, init_weights, kl_score,
-                  load_weights, preprocess, save_weights, score_flow)
+                  load_weights, preprocess, save_weights, score_batch)
 
 __version__ = "0.1.0"

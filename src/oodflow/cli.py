@@ -8,6 +8,8 @@ from __future__ import annotations
 import argparse
 import sys
 
+import numpy as np
+
 from . import conformal, gridio, harness, localization, opticflow, synthdata
 from . import trainer as trainer_mod
 from . import vae
@@ -163,10 +165,10 @@ def _cmd_localize(args) -> None:
         raise ValueError(f"--frame must be in [1, {len(frames) - 1}] "
                          f"(a decision needs the preceding frame)")
     flow = opticflow.lucas_kanade(frames[args.frame - 1], frames[args.frame])
-    out, _ = vae.score_flow(weights, flow)
+    x = vae.preprocess(flow[np.newaxis], weights.arch, weights.max_flow)
+    acts = vae.score_batch(weights, x)[2][0]
     frame = frames[args.frame]
-    overlay_map = localization.overlay(out.last_conv_activations, stats,
-                                       frame.shape)
+    overlay_map = localization.overlay(acts, stats, frame.shape)
     composite = localization.render(frame, overlay_map, args.overlay_threshold)
     gridio.write_fgrid(args.out_overlay, overlay_map)
     gridio.write_ppm(args.out_composite, composite)

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import astuple, dataclass, fields
+from numbers import Integral
 
 import numpy as np
 
@@ -66,13 +67,14 @@ class DetectorConfig:
     consecutive: int = 10
 
     def __post_init__(self):
-        if self.window < 1:
-            raise ValueError("window must be >= 1")
+        # a fractional window breaks slicing, and a fractional run never ends
+        for name in ("window", "consecutive"):
+            value = getattr(self, name)
+            if not (isinstance(value, Integral) and value >= 1):
+                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
         # NaN would never alarm, and neither value can be written as JSON
         if not np.isfinite(self.log_threshold):
             raise ValueError(f"log_threshold must be finite, got {self.log_threshold}")
-        if self.consecutive < 1:
-            raise ValueError("consecutive must be >= 1")
 
 
 @dataclass(frozen=True)

@@ -357,7 +357,8 @@ def measure_latency(frames, weights, cal: CalibrationSet,
         t0 = time.perf_counter()
         flow = opticflow.lucas_kanade(a, b)
         t1 = time.perf_counter()
-        _, alpha = vae.score_flow(weights, flow)
+        x = vae.preprocess(flow[np.newaxis], weights.arch, weights.max_flow)
+        alpha = float(vae.score_batch(weights, x)[3][0])
         t2 = time.perf_counter()
         state, _ = conformal.step(state, alpha, cal, cfg)
         t3 = time.perf_counter()

@@ -18,8 +18,8 @@ from .gridio import frame2d
 
 STD_FLOOR = 1e-6
 # flows per float64 summation block; it fixes the order of the sums, so
-# another block size would change the statistics' bits.  The encoder itself
-# runs vae.SCORE_CHUNK rows per call whatever the block size
+# another block size would change the statistics' bits.  vae.score_batch
+# runs the encoder on vae.SCORE_CHUNK rows per call whatever the block size
 STATS_CHUNK = 64
 
 
@@ -50,8 +50,7 @@ def activation_stats(weights: vae.VaeWeights, cal_flows) -> ActivationStats:
     total = None
     total_sq = None
     for start in range(0, len(flows), STATS_CHUNK):
-        batch = np.stack(flows[start:start + STATS_CHUNK])
-        _, _, acts = vae.encode_batch(weights, batch)
+        acts = vae.score_batch(weights, np.stack(flows[start:start + STATS_CHUNK]))[2]
         acts = acts.astype(np.float64)
         s = acts.sum(axis=0)
         sq = (acts * acts).sum(axis=0)

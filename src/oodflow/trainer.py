@@ -274,11 +274,12 @@ def split_calibration(dataset, fraction: float, seed: int):
 
 
 def build_calibration(weights: VaeWeights, cal_flows) -> CalibrationSet:
-    """Score held-out flows via encode + KL and sort ascending.
+    """Score held-out flows with vae.score_batch and sort ascending.
 
-    Flows are encoded vae.SCORE_CHUNK at a time.  The inference encoder
-    gives each row the bits it gives the row alone, so the calibration set
-    is exactly permutation-invariant in its inputs.
+    score_batch gives each row the bits it gives the row alone, so the
+    calibration set is exactly permutation-invariant in its inputs.  Flows
+    are stacked vae.SCORE_CHUNK at a time: one call on the whole stack gives
+    the same bits, but raised the calibrate job's peak RSS by about 0.3 MB.
     """
     flows = list(cal_flows)
     if not flows:

@@ -29,11 +29,11 @@ LOGVAR_MAX = 10.0
 
 DEFAULT_MAX_FLOW = 8.0
 
-# rows per inference encoder call: encode_batch runs the encoder on slices of
-# at most this many rows, so no call builds a larger im2col (enc1's columns
-# are 4 MiB at 8 rows of 64 px, 32 MiB at 64).  Scoring 64 px episodes on
-# 2 vCPUs took 0.96 ms per pair at 8 or 16 rows, 1.03 ms at 4 or 59 and
-# 1.53 ms at 1
+# rows per inference encoder call: score_batch runs the encoder on slices of
+# at most this many rows, so no call builds a larger im2col however many rows
+# it is given (enc1's columns are 4 MiB at 8 rows of 64 px, 32 MiB at 64).
+# Scoring 64 px episodes on 2 vCPUs took 0.96 ms per pair at 8 or 16 rows,
+# 1.03 ms at 4 or 59 and 1.53 ms at 1
 SCORE_CHUNK = 8
 
 # The weights header records none of these, so they are not architecture fields.
@@ -48,9 +48,12 @@ class NumericError(ArithmeticError):
 
 
 def _check_max_flow(max_flow: float) -> None:
-    # inf would scale every flow to zero, and NaN every flow to NaN
-    if not (max_flow > 0 and math.isfinite(max_flow)):
-        raise ValueError(f"max_flow must be finite and positive, got {max_flow}")
+    # inf would scale every flow to zero, and NaN every flow to NaN; the
+    # weights file stores float32, which turns 1e39 into inf and 1e-50 into 0
+    with np.errstate(over="ignore"):
+        stored = np.float32(max_flow)
+    if not (stored > 0 and np.isfinite(stored)):
+        raise ValueError(f"max_flow must be finite and positive in float32, got {max_flow}")
 
 
 @dataclass(frozen=True)
@@ -101,32 +104,6 @@ class VaeArchitecture:
             shapes[f"tdec{i}_w"] = (rev[i], rev[i + 1], k, k)
             shapes[f"tdec{i}_b"] = (rev[i + 1],)
         return shapes
-
-
-@dataclass(frozen=True)
-class LatentPosterior:
-    """Diagonal-Gaussian posterior parameters: per-dimension mean and log-variance."""
-
-    mu: np.ndarray
-    logvar: np.ndarray
-
-    def __post_init__(self):
-        mu = np.asarray(self.mu, dtype=np.float64)
-        logvar = np.asarray(self.logvar, dtype=np.float64)
-        object.__setattr__(self, "mu", mu)
-        object.__setattr__(self, "logvar", logvar)
-        if mu.ndim != 1 or logvar.ndim != 1 or mu.shape != logvar.shape:
-            raise ValueError("mu and logvar must be 1-D arrays of equal length")
-        if not (np.all(np.isfinite(mu)) and np.all(np.isfinite(logvar))):
-            raise ValueError("posterior parameters must be finite")
-        if np.any(logvar < LOGVAR_MIN) or np.any(logvar > LOGVAR_MAX):
-            raise ValueError(f"logvar must lie in [{LOGVAR_MIN}, {LOGVAR_MAX}]")
-
-
-@dataclass(frozen=True)
-class EncodeOutput:
-    posterior: LatentPosterior
-    last_conv_activations: np.ndarray  # (conv_channels[-1], s/16, s/16)
 
 
 @dataclass
@@ -242,16 +219,26 @@ def decoder(tensors: dict[str, np.ndarray], arch: VaeArchitecture,
     return np.ascontiguousarray(h)
 
 
-def encode_batch(weights: VaeWeights, flows: np.ndarray):
-    """Forward the encoder on (N, 2, S, S) inputs in float32, N >= 1.
+def _kl(mu: np.ndarray, logvar: np.ndarray):
+    """KL(N(mu, exp(logvar)) || N(0, I)) summed over the last axis.
 
-    Returns (mu, logvar, activations): (N, m), (N, m) with logvar clamped,
-    and the post-ReLU volume of the fourth conv layer (N, C4, S/16, S/16).
+    Closed form per dimension: 0.5 * (mu^2 + exp(logvar) - logvar - 1).
+    Zero exactly when the posterior is standard normal, positive otherwise.
+    """
+    return 0.5 * np.sum(mu * mu + np.exp(logvar) - logvar - 1.0, axis=-1)
+
+
+def score_batch(weights: VaeWeights, x: np.ndarray):
+    """Encode preprocessed (N, 2, S, S) inputs in float32 and score each row by its KL.
+
+    Returns (mu, logvar, activations, alphas): (N, m) and (N, m) with logvar
+    clamped, the post-ReLU volume of the fourth conv layer
+    (N, C4, S/16, S/16), and the (N,) float64 KL divergences from the prior.
     The encoder runs on SCORE_CHUNK rows at a time, which keeps every bit,
-    since each row's outputs are those of the row encoded alone.
+    since each row's numbers are those of the row scored alone.
     """
     arch = weights.arch
-    x = np.ascontiguousarray(flows, dtype=np.float32)
+    x = np.ascontiguousarray(x, dtype=np.float32)
     expected = (INPUT_CHANNELS, arch.input_size, arch.input_size)
     if x.ndim != 4 or x.shape[1:] != expected or len(x) == 0:
         raise ValueError(f"encoder input must be (N, {expected[0]}, {expected[1]}, "
@@ -263,61 +250,7 @@ def encode_batch(weights: VaeWeights, flows: np.ndarray):
     _check_finite("encoder outputs", mu)
     _check_finite("encoder outputs", logvar)
     _check_finite("encoder activations", acts)
-    return mu, logvar, acts
-
-
-def encode(weights: VaeWeights, flow: np.ndarray) -> EncodeOutput:
-    """Encode one preprocessed flow field into its latent posterior.
-
-    Also exposes the last conv layer's activation volume, which the
-    localization overlay compares against calibration statistics.
-    """
-    flow = np.asarray(flow)
-    if flow.ndim != 3:
-        raise ValueError(f"flow must be (C, H, W), got shape {flow.shape}")
-    mu, logvar, acts = encode_batch(weights, flow[np.newaxis])
-    return EncodeOutput(
-        posterior=LatentPosterior(mu=mu[0], logvar=logvar[0]),
-        last_conv_activations=acts[0],
-    )
-
-
-def _kl(mu: np.ndarray, logvar: np.ndarray):
-    """KL(N(mu, exp(logvar)) || N(0, I)) summed over the last axis."""
-    return 0.5 * np.sum(mu * mu + np.exp(logvar) - logvar - 1.0, axis=-1)
-
-
-def kl_score(posterior: LatentPosterior) -> float:
-    """Nonconformity score: KL(q(z|x) || N(0, I)) summed over dimensions.
-
-    Closed form per dimension: 0.5 * (mu^2 + exp(logvar) - logvar - 1).
-    Zero exactly when the posterior is standard normal, positive otherwise.
-    """
-    return float(_kl(posterior.mu, posterior.logvar))
-
-
-def score_batch(weights: VaeWeights, x: np.ndarray):
-    """Encode preprocessed (N, 2, S, S) inputs and score each row by its KL.
-
-    Returns (mu, logvar, activations, alphas) with the first three as
-    :func:`encode_batch` gives them and alphas the (N,) float64 scores.
-    Each row's numbers are bit for bit those of the row scored alone.
-    """
-    mu, logvar, acts = encode_batch(weights, x)
     return mu, logvar, acts, _kl(mu.astype(np.float64), logvar.astype(np.float64))
-
-
-def score_flow(weights: VaeWeights, flow: np.ndarray):
-    """Score one raw (2, H, W) flow field: preprocess, encode, KL.
-
-    The one-row case of :func:`score_batch`.  Returns (EncodeOutput,
-    alpha); the encoder output feeds the overlay.
-    """
-    x = preprocess(flow, weights.arch, weights.max_flow)[np.newaxis]
-    mu, logvar, acts, alphas = score_batch(weights, x)
-    out = EncodeOutput(posterior=LatentPosterior(mu=mu[0], logvar=logvar[0]),
-                       last_conv_activations=acts[0])
-    return out, float(alphas[0])
 
 
 def preprocess(flow: np.ndarray, arch: VaeArchitecture,
@@ -337,6 +270,50 @@ def preprocess(flow: np.ndarray, arch: VaeArchitecture,
     resized = nnops._bilinear_resize(f.reshape((-1,) + f.shape[-2:]), size, size)
     clipped = np.clip(resized.reshape(f.shape[:-2] + (size, size)), -max_flow, max_flow)
     return (clipped / max_flow).astype(np.float32)
+
+
+# ---------------------------------------------------------------------------
+# One-row API.  Outside tests only perfbench calls it: its decision and
+# warm-up run encode then kl_score, and its tracer checks that it wraps the
+# trainer.kl_score alias.  ROADMAP item 2 deletes this block once perfbench's
+# decide() calls score_batch on one row.
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class LatentPosterior:
+    """Diagonal-Gaussian posterior parameters: per-dimension mean and log-variance."""
+
+    mu: np.ndarray
+    logvar: np.ndarray
+
+    def __post_init__(self):
+        mu = np.asarray(self.mu, dtype=np.float64)
+        logvar = np.asarray(self.logvar, dtype=np.float64)
+        object.__setattr__(self, "mu", mu)
+        object.__setattr__(self, "logvar", logvar)
+        if mu.ndim != 1 or logvar.ndim != 1 or mu.shape != logvar.shape:
+            raise ValueError("mu and logvar must be 1-D arrays of equal length")
+        if not (np.all(np.isfinite(mu)) and np.all(np.isfinite(logvar))):
+            raise ValueError("posterior parameters must be finite")
+        if np.any(logvar < LOGVAR_MIN) or np.any(logvar > LOGVAR_MAX):
+            raise ValueError(f"logvar must lie in [{LOGVAR_MIN}, {LOGVAR_MAX}]")
+
+
+@dataclass(frozen=True)
+class EncodeOutput:
+    posterior: LatentPosterior
+    last_conv_activations: np.ndarray  # (conv_channels[-1], s/16, s/16)
+
+
+def encode(weights: VaeWeights, flow: np.ndarray) -> EncodeOutput:
+    """Encode one preprocessed (2, S, S) flow: the one-row case of score_batch."""
+    mu, logvar, acts, _ = score_batch(weights, np.asarray(flow)[np.newaxis])
+    return EncodeOutput(LatentPosterior(mu[0], logvar[0]), acts[0])
+
+
+def kl_score(posterior: LatentPosterior) -> float:
+    """Nonconformity score of one posterior, as score_batch computes it."""
+    return float(_kl(posterior.mu, posterior.logvar))
 
 
 # ---------------------------------------------------------------------------

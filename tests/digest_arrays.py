@@ -5,10 +5,11 @@
 Run it in two checkouts and diff the outputs: equal lines mean the two
 compute the same bits.  It covers the loss terms and all gradients of one
 forward and backward pass at 32 px (N=7) and 64 px (N=32), a 2-epoch
-training run's final weights and CSV log, ``encode_batch``,
-``activation_stats`` and the calibration scores on 11 held-out flows and
-again on 94 (one full ``STATS_CHUNK`` block and a partial one, and not a
-multiple of ``SCORE_CHUNK``), 256 px ``localization.overlay`` maps, the
+training run's final weights and CSV log, ``score_batch``'s mu, logvar
+and activations (labelled ``encode_batch``), ``activation_stats`` and the
+calibration scores on 11 held-out flows and again on 94 (one full
+``STATS_CHUNK`` block and a partial one, and not a multiple of
+``SCORE_CHUNK``), 256 px ``localization.overlay`` maps, the
 ``detect_episode`` events and curves of an ID and an OOD episode on the
 trained weights and the ``evaluate`` and ``grid_search`` results of a
 4-episode corpus (scored on worker processes) at thresholds that raise no
@@ -72,19 +73,20 @@ def _training(size: int, seed: int) -> None:
         print(f"train{size} log.csv {hashlib.sha256(path.read_bytes()).hexdigest()}")
     held_out = flows[48:]
     for name, arr in zip(("mu", "logvar", "acts"),
-                         vae.encode_batch(weights, np.stack(held_out))):
+                         vae.score_batch(weights, np.stack(held_out))[:3]):
         print(f"train{size} encode_batch.{name} {_sha(arr)}")
     stats = localization.activation_stats(weights, held_out)
     print(f"train{size} activation_stats.mean {_sha(stats.mean)}")
     print(f"train{size} activation_stats.std {_sha(stats.std)}")
-    for i, acts in enumerate(vae.encode_batch(weights, np.stack(held_out[:3]))[2]):
+    for i, acts in enumerate(vae.score_batch(weights, np.stack(held_out[:3]))[2]):
         print(f"train{size} overlay256.{i} {_sha(localization.overlay(acts, stats, 256))}")
     cal = trainer.build_calibration(weights, held_out)
     print(f"train{size} build_calibration {_sha(cal.scores)}")
     # one full STATS_CHUNK block and a partial one; 94 rows are not a
     # multiple of SCORE_CHUNK either
     many = list(_flows(size, 59, seed + 300)) + list(_flows(size, 35, seed + 301))
-    for name, arr in zip(("mu", "logvar", "acts"), vae.encode_batch(weights, np.stack(many))):
+    for name, arr in zip(("mu", "logvar", "acts"),
+                         vae.score_batch(weights, np.stack(many))[:3]):
         print(f"train{size} encode_batch{len(many)}.{name} {_sha(arr)}")
     stats_many = localization.activation_stats(weights, many)
     print(f"train{size} activation_stats{len(many)}.mean {_sha(stats_many.mean)}")

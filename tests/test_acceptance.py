@@ -255,8 +255,8 @@ def test_c08_localization_mass(benchmark64):
         cols = slice(32, 64) if quad[1] == "e" else slice(0, 32)
         for t in run:
             flow = opticflow.lucas_kanade(ep.frames[t - 1], ep.frames[t])
-            out, _ = vae.score_flow(weights, flow)
-            m = localization.overlay(out.last_conv_activations, stats, 64)
+            x = vae.preprocess(flow[np.newaxis], weights.arch, weights.max_flow)
+            m = localization.overlay(vae.score_batch(weights, x)[2][0], stats, 64)
             fractions.append(float(m[rows, cols].sum() / max(m.sum(), 1e-12)))
     mean_frac = float(np.mean(fractions))
     ok = misses == 0 and mean_frac >= 0.5

@@ -236,12 +236,15 @@ def test_exit_code_malformed_corpus_index(pipeline, tmp_path, index, code):
 
 
 def test_exit_code_non_finite_max_flow(pipeline, tmp_path):
+    # the weights file stores max_flow as float32, in which 1e39 is inf and
+    # 1e-50 is 0
     weights = tmp_path / "weights.bin"
-    rc = cli.main(["train", "--corpus", str(pipeline["corpus"]),
-                   "--out", str(weights), "--epochs", "1", "--seed", "3",
-                   "--input-size", "32", "--max-flow", "inf"])
-    assert rc == cli.EXIT_VALIDATION
-    assert not weights.exists()
+    for max_flow in ("inf", "1e39", "1e-50"):
+        rc = cli.main(["train", "--corpus", str(pipeline["corpus"]),
+                       "--out", str(weights), "--epochs", "1", "--seed", "3",
+                       "--input-size", "32", "--max-flow", max_flow])
+        assert rc == cli.EXIT_VALIDATION, max_flow
+        assert not weights.exists()
 
 
 def test_exit_code_non_finite_threshold(pipeline, tmp_path):

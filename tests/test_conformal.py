@@ -222,6 +222,7 @@ def test_window_eviction():
 
 def test_detector_config_validation():
     for bad in (dict(window=0), dict(consecutive=0),
+                dict(window=2.5), dict(consecutive=2.5),
                 dict(log_threshold=float("nan")), dict(log_threshold=float("inf")),
                 dict(log_threshold=-float("inf"))):
         with pytest.raises(ValueError):
@@ -240,11 +241,13 @@ def test_detect_episode_needs_two_frames(trained32):
 
 
 def _streamed(frames, weights, cal, cfg, episode_id):
-    """The live loop: lucas_kanade, score_flow and step, one frame pair at a time."""
+    """The live loop: lucas_kanade, one-row score_batch and step, pair by pair."""
     state = conformal.DetectorState(frame_index=1)
     events, curve = [], []
     for a, b in zip(frames, frames[1:]):
-        _, alpha = vae.score_flow(weights, opticflow.lucas_kanade(a, b))
+        flow = opticflow.lucas_kanade(a, b)
+        x = vae.preprocess(flow[np.newaxis], weights.arch, weights.max_flow)
+        alpha = float(vae.score_batch(weights, x)[3][0])
         frame = state.frame_index
         state, event = conformal.step(state, alpha, cal, cfg, episode_id)
         curve.append(conformal.CurvePoint(frame, alpha, state.p_window[-1], state.log_m,

@@ -47,7 +47,7 @@ def test_architecture_downsampling_chain():
     assert arch.grid_size == 4 and arch.flat_dim == 256 * 16
     # spatial halving per layer
     w = vae.init_weights(arch, 0)
-    _, _, acts = vae.encode_batch(w, _rand_flow(arch)[None])
+    acts = vae.score_batch(w, _rand_flow(arch)[None])[2]
     assert acts.shape == (1, 256, 4, 4)
 
 
@@ -60,18 +60,19 @@ def batch64():
     arch = VaeArchitecture()
     w = vae.init_weights(arch, 3)
     flows = np.stack([_rand_flow(arch, seed) for seed in range(59)])
-    return w, flows, [vae.encode_batch(w, flows[i:i + 1]) for i in range(59)]
+    return w, flows, [vae.score_batch(w, flows[i:i + 1]) for i in range(59)]
 
 
 def test_encode_batch_volume_batch_invariant(batch64):
-    # mu, logvar and the last-conv volume of each flow in a batch equal the
-    # flow's own, bit for bit, so batched scores equal streamed ones
+    # mu, logvar, the last-conv volume and the score of each flow in a batch
+    # equal the flow's own, bit for bit, so batched scores equal streamed ones
     w, flows, alone = batch64
     for n in (2, 5, 16, 2 * vae.SCORE_CHUNK + 3, 59):
-        batched = vae.encode_batch(w, flows[:n])
+        batched = vae.score_batch(w, flows[:n])
         assert batched[2].flags.c_contiguous
         for i in range(n):
-            for name, got, want in zip(("mu", "logvar", "volume"), batched, alone[i]):
+            for name, got, want in zip(("mu", "logvar", "volume", "alpha"), batched,
+                                       alone[i]):
                 assert np.array_equal(got[i:i + 1], want), f"{name} of row {i} at N={n}"
 
 
@@ -87,24 +88,30 @@ def test_encode_batch_runs_encoder_on_score_chunk_rows(batch64, monkeypatch):
         return encoder(tensors, x, tape)
 
     monkeypatch.setattr(vae, "encoder", counting)
-    vae.encode_batch(w, flows[:2 * vae.SCORE_CHUNK + 3])
+    vae.score_batch(w, flows[:2 * vae.SCORE_CHUNK + 3])
     assert rows == [vae.SCORE_CHUNK, vae.SCORE_CHUNK, 3]
 
 
 def test_encode_batch_rejects_empty_batch(batch64):
     w, flows, _ = batch64
     with pytest.raises(ValueError, match="N >= 1"):
-        vae.encode_batch(w, flows[:0])
+        vae.score_batch(w, flows[:0])
 
 
-def test_score_batch_rows_match_score_flow(batch64):
+def test_score_batch_rows_match_one_row_calls(batch64):
+    # each row of a batch is the one-row score_batch of its raw flow, and the
+    # one-row encode and kl_score give its numbers bit for bit
     w, _, _ = batch64
     raw = np.random.default_rng(4).uniform(-9, 9, size=(11, 2, 40, 40)).astype(np.float32)
-    mu, logvar, acts, alphas = vae.score_batch(w, vae.preprocess(raw, w.arch, w.max_flow))
+    x = vae.preprocess(raw, w.arch, w.max_flow)
+    mu, logvar, acts, alphas = vae.score_batch(w, x)
     assert alphas.dtype == np.float64 and alphas.shape == (11,)
     for i, flow in enumerate(raw):
-        out, alpha = vae.score_flow(w, flow)
-        assert alpha == alphas[i] and alpha == vae.kl_score(out.posterior)
+        one = vae.score_batch(w, vae.preprocess(flow[np.newaxis], w.arch, w.max_flow))
+        for got, want in zip(one, (mu, logvar, acts, alphas)):
+            assert np.array_equal(got, want[i:i + 1])
+        out = vae.encode(w, x[i])
+        assert vae.kl_score(out.posterior) == alphas[i]
         assert np.array_equal(out.posterior.mu, mu[i])
         assert np.array_equal(out.posterior.logvar, logvar[i])
         assert np.array_equal(out.last_conv_activations, acts[i])
@@ -294,8 +301,8 @@ def test_preprocess_downsample_block_mean():
     np.testing.assert_allclose(out[0], blocks, rtol=1e-5, atol=1e-7)
 
 
-@pytest.mark.parametrize("max_flow", [0.0, -1.0, np.inf, np.nan],
-                         ids=["zero", "negative", "inf", "nan"])
+@pytest.mark.parametrize("max_flow", [0.0, -1.0, np.inf, np.nan, 1e39, 1e-50],
+                         ids=["zero", "negative", "inf", "nan", "float32_inf", "float32_zero"])
 def test_preprocess_rejects_bad_max_flow(tiny_arch, max_flow):
     with pytest.raises(ValueError, match="max_flow"):
         vae.preprocess(np.zeros((2, 16, 16), dtype=np.float32), tiny_arch, max_flow)
