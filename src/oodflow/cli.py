@@ -27,6 +27,12 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="oodflow",
         description="Streaming out-of-distribution motion detection.")
     sub = parser.add_subparsers(dest="command", required=True)
+    # shared inputs, each declared once: a model, and an episode to run it on
+    model = argparse.ArgumentParser(add_help=False)
+    model.add_argument("--weights", required=True)
+    model.add_argument("--cal", required=True)
+    episode = argparse.ArgumentParser(add_help=False, parents=[model])
+    episode.add_argument("--episode", required=True)
 
     p = sub.add_parser("synth", help="generate a synthetic labeled episode corpus")
     p.add_argument("--out", required=True)
@@ -53,33 +59,26 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus", required=True)
     p.add_argument("--weights", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=0,
+    p.add_argument("--seed", type=int, required=True,
                    help="must match the seed used for train's holdout split")
     p.add_argument("--fraction", type=float, default=0.2)
 
-    p = sub.add_parser("detect", help="run the detector over one episode")
-    p.add_argument("--episode", required=True)
-    p.add_argument("--weights", required=True)
-    p.add_argument("--cal", required=True)
+    p = sub.add_parser("detect", help="run the detector over one episode", parents=[episode])
     p.add_argument("--threshold", type=float, default=3.0)
     p.add_argument("--window", type=int, default=10)
     p.add_argument("--consecutive", type=int, default=10)
     p.add_argument("--out-curve", required=True)
     p.add_argument("--out-events", required=True)
 
-    p = sub.add_parser("localize", help="write an anomaly overlay for one frame")
-    p.add_argument("--episode", required=True)
+    p = sub.add_parser("localize", help="write an anomaly overlay for one frame",
+                       parents=[episode])
     p.add_argument("--frame", type=int, required=True)
-    p.add_argument("--weights", required=True)
-    p.add_argument("--cal", required=True)
     p.add_argument("--out-overlay", required=True)
     p.add_argument("--out-composite", required=True)
     p.add_argument("--overlay-threshold", type=float, default=0.5)
 
-    p = sub.add_parser("eval", help="episode-level metrics over a corpus")
+    p = sub.add_parser("eval", help="episode-level metrics over a corpus", parents=[model])
     p.add_argument("--corpus", required=True)
-    p.add_argument("--weights", required=True)
-    p.add_argument("--cal", required=True)
     p.add_argument("--grid", default=None,
                    help="comma-separated thresholds to search (best by F1)")
     p.add_argument("--threshold", type=float, default=3.0)
@@ -87,10 +86,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--consecutive", type=int, default=10)
     p.add_argument("--out", required=True)
 
-    p = sub.add_parser("bench", help="measure per-decision latency")
-    p.add_argument("--episode", required=True)
-    p.add_argument("--weights", required=True)
-    p.add_argument("--cal", required=True)
+    p = sub.add_parser("bench", help="measure per-decision latency", parents=[episode])
     p.add_argument("--reps", type=int, default=50)
     p.add_argument("--warmup", type=int, default=3)
     p.add_argument("--out", required=True)
@@ -105,14 +101,19 @@ def _cmd_synth(args) -> None:
     print(f"wrote {len(manifests)} episodes under {args.out}")
 
 
-def _cmd_train(args) -> None:
+def _split_corpus(args, arch: vae.VaeArchitecture, max_flow: float):
+    """(train, calibration) parts of the preprocessed ID flows of ``--corpus``."""
     manifests = harness.load_corpus(args.corpus)
-    arch = vae.VaeArchitecture(input_size=args.input_size, latent_dim=args.latent)
     dataset = harness.corpus_flow_dataset(manifests, opticflow.FlowParams(),
-                                          arch, args.max_flow)
+                                          arch, max_flow)
     if not dataset:
-        raise ValueError("corpus contains no ID flow pairs to train on")
-    train_part, _ = trainer_mod.split_calibration(dataset, args.fraction, args.seed)
+        raise ValueError("corpus contains no ID flow pairs")
+    return trainer_mod.split_calibration(dataset, args.fraction, args.seed)
+
+
+def _cmd_train(args) -> None:
+    arch = vae.VaeArchitecture(input_size=args.input_size, latent_dim=args.latent)
+    train_part, _ = _split_corpus(args, arch, args.max_flow)
     config = trainer_mod.TrainConfig(epochs=args.epochs, seed=args.seed,
                                      batch_size=args.batch_size)
     weights, log = trainer_mod.train(train_part, config, arch, args.max_flow)
@@ -126,10 +127,7 @@ def _cmd_train(args) -> None:
 
 def _cmd_calibrate(args) -> None:
     weights = vae.load_weights(args.weights)
-    manifests = harness.load_corpus(args.corpus)
-    dataset = harness.corpus_flow_dataset(manifests, opticflow.FlowParams(),
-                                          weights.arch, weights.max_flow)
-    _, cal_part = trainer_mod.split_calibration(dataset, args.fraction, args.seed)
+    _, cal_part = _split_corpus(args, weights.arch, weights.max_flow)
     cal = trainer_mod.build_calibration(weights, cal_part)
     stats = localization.activation_stats(weights, cal_part)
     harness.save_calibration(args.out, cal, stats)
@@ -142,14 +140,18 @@ def _detector_config(args) -> conformal.DetectorConfig:
                                     consecutive=args.consecutive)
 
 
-def _cmd_detect(args) -> None:
+def _load_episode_inputs(args):
+    """(weights, calibration, activation stats, manifest, frames), read in that order."""
     weights = vae.load_weights(args.weights)
-    cal, _ = harness.load_calibration(args.cal)
+    cal, stats = harness.load_calibration(args.cal)
     manifest = gridio.read_manifest(args.episode)
-    frames = harness.load_frames(manifest)
-    events, curve = conformal.detect_episode(
-        frames, weights, cal, _detector_config(args),
-        episode_id=manifest.id)
+    return weights, cal, stats, manifest, harness.load_frames(manifest)
+
+
+def _cmd_detect(args) -> None:
+    weights, cal, _, manifest, frames = _load_episode_inputs(args)
+    events, curve = conformal.detect_episode(frames, weights, cal, _detector_config(args),
+                                             episode_id=manifest.id)
     conformal.write_curve_csv(args.out_curve, curve)
     conformal.write_events_jsonl(args.out_events, events)
     print(f"{manifest.id}: {len(events)} event(s); "
@@ -157,10 +159,7 @@ def _cmd_detect(args) -> None:
 
 
 def _cmd_localize(args) -> None:
-    weights = vae.load_weights(args.weights)
-    _, stats = harness.load_calibration(args.cal)
-    manifest = gridio.read_manifest(args.episode)
-    frames = harness.load_frames(manifest)
+    weights, _, stats, _, frames = _load_episode_inputs(args)
     if not 1 <= args.frame < len(frames):
         raise ValueError(f"--frame must be in [1, {len(frames) - 1}] "
                          f"(a decision needs the preceding frame)")
@@ -198,10 +197,7 @@ def _cmd_eval(args) -> None:
 
 
 def _cmd_bench(args) -> None:
-    weights = vae.load_weights(args.weights)
-    cal, _ = harness.load_calibration(args.cal)
-    manifest = gridio.read_manifest(args.episode)
-    frames = harness.load_frames(manifest)
+    weights, cal, _, _, frames = _load_episode_inputs(args)
     report = harness.measure_latency(frames, weights, cal,
                                      conformal.DetectorConfig(),
                                      warmup=args.warmup, reps=args.reps)

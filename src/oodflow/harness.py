@@ -125,20 +125,16 @@ def corpus_flow_dataset(manifests, flow_params: opticflow.FlowParams,
 # Evaluation and threshold search
 # ---------------------------------------------------------------------------
 
-def _score_episodes(manifests, weights, cal, cfg) -> list[EpisodeRecord]:
-    """Score episodes in order; an unreadable one keeps its error in its record."""
-    records: list[EpisodeRecord] = []
-    for manifest in manifests:
-        record = EpisodeRecord(episode_id=manifest.id, label=manifest.label,
-                               gt_onset=manifest.onset_frame)
-        try:
-            frames = load_frames(manifest)
-            record.events, record.curve = conformal.detect_episode(
-                frames, weights, cal, cfg, episode_id=manifest.id)
-        except (OSError, EOFError, ValueError) as exc:
-            record.error = str(exc)
-        records.append(record)
-    return records
+def _score_episode(manifest, weights, cal, cfg) -> EpisodeRecord:
+    """Score one episode; an unreadable one keeps its error in its record."""
+    record = EpisodeRecord(episode_id=manifest.id, label=manifest.label,
+                           gt_onset=manifest.onset_frame)
+    try:
+        record.events, record.curve = conformal.detect_episode(
+            load_frames(manifest), weights, cal, cfg, episode_id=manifest.id)
+    except (OSError, EOFError, ValueError) as exc:
+        record.error = str(exc)
+    return record
 
 
 def _usable_cores() -> int:
@@ -188,7 +184,7 @@ def _load_worker_weights(arch, max_flow, path) -> None:
 
 
 def _score_in_worker(manifest, cal, cfg) -> EpisodeRecord:
-    return _score_episodes([manifest], _worker_weights, cal, cfg)[0]
+    return _score_episode(manifest, _worker_weights, cal, cfg)
 
 
 # (pid, weights digest, weights file, executor) of this process's pool
@@ -247,7 +243,7 @@ def _run_episodes(manifests, weights, cal, cfg) -> list[EpisodeRecord]:
             _drop_pool()
             raise ChildProcessError("an evaluation worker ended unexpectedly") from exc
     else:
-        records = _score_episodes(manifests, weights, cal, cfg)
+        records = [_score_episode(m, weights, cal, cfg) for m in manifests]
     for r in records:
         if r.error is not None:
             warnings.warn(f"skipping unreadable episode {r.episode_id}: {r.error}")
@@ -312,7 +308,7 @@ def grid_search(manifests, weights, cal: CalibrationSet, thresholds,
     configs = [replace(cfg, log_threshold=tau) for tau in thresholds]
     if not configs:
         raise ValueError("thresholds must be nonempty")
-    base_records = _run_episodes(manifests, weights, cal, cfg)
+    _, base_records = evaluate(manifests, weights, cal, cfg)
     table: list[tuple[float, Metrics]] = []
     best = None  # (key, threshold, records)
     for tau_cfg in configs:

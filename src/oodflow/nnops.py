@@ -5,8 +5,8 @@ A convolution unfolds its input with im2col, one strided copy, into
 one gemm over the batch, whose (C, N*H*W) output is returned as an
 (N, C, H, W) view.  Transposed convolution and the input gradient of a
 convolution, which is the same map, share one sub-pixel core that sums the
-taps of each pixel into a float64 zero in ascending (i, j) order.  All
-functions preserve the dtype of their weight arguments.
+taps of each pixel into a float64 zero in ascending (i, j) order.  Layers
+keep the dtype of their weights; bilinear_resize returns float64.
 """
 
 from __future__ import annotations
@@ -164,13 +164,8 @@ def bilinear_resize(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
 
     Sample coordinates follow x_src = (x_out + 0.5) * scale - 0.5 and are
     clamped to the source extent, so a 2x downsample of a linear ramp equals
-    the 2x2 block mean.  The result has the dtype of ``img``.
+    the 2x2 block mean.  Returns a new float64 array, converting only the sampled rows.
     """
-    return _bilinear_resize(img, out_h, out_w).astype(img.dtype, copy=False)
-
-
-def _bilinear_resize(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
-    """:func:`bilinear_resize` in float64, converting only the sampled rows."""
     c, h, w = img.shape
     if (h, w) == (out_h, out_w):
         return img.astype(np.float64)

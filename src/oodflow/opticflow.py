@@ -65,16 +65,20 @@ def _blur(frame: np.ndarray, sigma: float) -> np.ndarray:
     return out
 
 
-def _prepare_pair(frame_a, frame_b, params: FlowParams):
-    """Both frames as finite, read-only float64 (H, W) arrays of one shape, presmoothed."""
-    a, b = frame2d(frame_a), frame2d(frame_b)
-    if a.shape != b.shape:
-        raise ValueError(f"frame dimensions differ: {a.shape} vs {b.shape}")
-    return _blur(a, params.presmooth_sigma), _blur(b, params.presmooth_sigma)
+def _checked(frames) -> list[np.ndarray]:
+    """Frames as finite float32 (H, W) arrays of one shape, checked in order:
+    each frame, then its shape against the first, so the first bad one decides the error."""
+    out = []
+    for frame in frames:
+        f = frame2d(frame)
+        if out and f.shape != out[0].shape:
+            raise ValueError(f"frame dimensions differ: {out[0].shape} vs {f.shape}")
+        out.append(f)
+    return out
 
 
 def _derivatives(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """(ix, iy, it) in float64 for prepared (..., H, W) frames, as one (3, ..., H, W) block.
+    """(ix, iy, it) in float64 for blurred (..., H, W) frames, as one (3, ..., H, W) block.
 
     ix and iy are central differences (replicate padding at the borders) of
     the frame average, which keeps them symmetric in the frame pair; it =
@@ -92,7 +96,7 @@ def _derivatives(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _solve(a: np.ndarray, b: np.ndarray, params: FlowParams) -> np.ndarray:
-    """Flow between prepared (..., H, W) frames a and b, as a float32 (..., 2, H, W).
+    """Flow between blurred (..., H, W) frames a and b, as a float32 (..., 2, H, W).
 
     Every pixel of every pair gets the same float64 arithmetic, so a pair's
     flow does not depend on the stack it is solved in.
@@ -139,7 +143,8 @@ def lucas_kanade(frame_a, frame_b, params: FlowParams = FlowParams()) -> np.ndar
     padding at borders).  Output flow is in pixels per frame: u along the
     width axis, v along the height axis.
     """
-    return _solve(*_prepare_pair(frame_a, frame_b, params), params)
+    sigma = params.presmooth_sigma
+    return _solve(*(_blur(f, sigma) for f in _checked((frame_a, frame_b))), params)
 
 
 def flow_sequence(frames, params: FlowParams) -> np.ndarray:
@@ -153,14 +158,7 @@ def flow_sequence(frames, params: FlowParams) -> np.ndarray:
     frames = list(frames)
     if len(frames) < 2:
         raise ValueError("need at least 2 frames")
-    stack = None
-    for t, frame in enumerate(frames):
-        f = frame2d(frame)
-        if stack is None:
-            stack = np.empty((len(frames),) + f.shape)
-        elif f.shape != stack.shape[1:]:
-            raise ValueError(f"frame dimensions differ: {stack.shape[1:]} vs {f.shape}")
-        stack[t] = f
+    stack = np.array(_checked(frames), dtype=np.float64)
     sigma = params.presmooth_sigma
     if sigma > 0:
         gaussian_filter(stack, (0, sigma, sigma), mode="nearest", output=stack)

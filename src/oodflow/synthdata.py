@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
+from numbers import Integral
 from pathlib import Path
 
 import numpy as np
@@ -39,10 +40,14 @@ class SceneConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.episode_length < 2:
-            raise ValueError("episode_length must be >= 2")
-        if self.size < 16:
-            raise ValueError("size must be >= 16")
+        # a fractional count fails in range(), and a non-finite jitter in
+        # _sample_wrapped, far from their cause
+        for name, low in (("episode_length", 2), ("size", 16)):
+            value = getattr(self, name)
+            if not (isinstance(value, Integral) and value >= low):
+                raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+        if not np.isfinite(self.velocity_jitter):
+            raise ValueError(f"velocity_jitter must be finite, got {self.velocity_jitter}")
 
 
 @dataclass(frozen=True)
@@ -55,8 +60,11 @@ class AnomalySpec:
     def __post_init__(self):
         if self.kind not in ANOMALY_KINDS:
             raise ValueError(f"unknown anomaly kind {self.kind!r}")
-        if self.magnitude <= 0:
-            raise ValueError("magnitude must be positive")
+        # a fractional onset cannot be written to a manifest
+        if not isinstance(self.onset, Integral):
+            raise ValueError(f"onset must be an integer, got {self.onset!r}")
+        if not (np.isfinite(self.magnitude) and self.magnitude > 0):
+            raise ValueError(f"magnitude must be finite and positive, got {self.magnitude}")
         if self.kind == "intruder_cut":
             if self.region not in INTRUDER_QUADRANTS:
                 raise ValueError(f"intruder_cut requires a quadrant in "

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import astuple, dataclass, fields
+from numbers import Integral
 
 import numpy as np
 
@@ -33,10 +34,15 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.epochs < 0:
-            raise ValueError("epochs must be >= 0")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
+        # a fractional count fails in range(), and a non-finite learning rate
+        # or KL weight only once training has run
+        for name, low in (("epochs", 0), ("batch_size", 1)):
+            value = getattr(self, name)
+            if not (isinstance(value, Integral) and value >= low):
+                raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+        for name in ("learning_rate", "beta_kl"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)

@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import nnops
+from .gridio import FormatError
 
 WEIGHTS_MAGIC = b"VAEW"
 WEIGHTS_VERSION = 1
@@ -267,7 +268,7 @@ def preprocess(flow: np.ndarray, arch: VaeArchitecture,
         raise ValueError(f"flow must be (..., {INPUT_CHANNELS}, H, W), got {f.shape}")
     size = arch.input_size
     # float64 from the rows the resize samples, not from the whole flow
-    resized = nnops._bilinear_resize(f.reshape((-1,) + f.shape[-2:]), size, size)
+    resized = nnops.bilinear_resize(f.reshape((-1,) + f.shape[-2:]), size, size)
     clipped = np.clip(resized.reshape(f.shape[:-2] + (size, size)), -max_flow, max_flow)
     return (clipped / max_flow).astype(np.float32)
 
@@ -341,11 +342,10 @@ def save_weights(path, weights: VaeWeights) -> None:
 def load_weights(path) -> VaeWeights:
     """Read a weights file and the architecture its header describes.
 
-    Raises FormatError on magic/version/shape mismatch and EOFError when the
-    file is truncated (no partial weights are returned).
+    Raises FormatError on a bad magic, version, architecture, max_flow or
+    tensor value, or trailing bytes, and EOFError when the file is truncated
+    (no partial weights are returned).
     """
-    from .gridio import FormatError
-
     # checked against the bytes left before reading, so a corrupt header
     # cannot make the loader allocate more than the file holds
     def take(fh, n: int, what: str) -> bytes:
@@ -379,4 +379,7 @@ def load_weights(path) -> VaeWeights:
         trailing = fh.read(1)
         if trailing:
             raise FormatError("trailing bytes after final tensor")
-    return VaeWeights(arch=arch, max_flow=float(max_flow), tensors=tensors)
+    try:
+        return VaeWeights(arch=arch, max_flow=float(max_flow), tensors=tensors)
+    except ValueError as exc:
+        raise FormatError(f"invalid weights file: {exc}") from exc

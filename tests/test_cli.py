@@ -2,6 +2,7 @@ import json
 import os
 import shlex
 import shutil
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -171,6 +172,50 @@ def test_exit_code_bad_weights_format(pipeline, tmp_path):
                    "--out-curve", str(tmp_path / "c.csv"),
                    "--out-events", str(tmp_path / "e.jsonl")])
     assert rc == cli.EXIT_IO
+
+
+@pytest.mark.parametrize("corruption", ["max_flow_nan", "max_flow_zero", "tensor_inf"])
+def test_exit_code_corrupt_weights_values(pipeline, tmp_path, corruption):
+    # values the header or payload stores but the network cannot use are a
+    # format error, as an invalid architecture in the header is
+    data = bytearray(pipeline["weights"].read_bytes())
+    if corruption == "tensor_inf":
+        data[-4:] = struct.pack("<f", np.inf)
+    else:  # max_flow follows the magic, version, input size and latent size
+        data[16:20] = struct.pack("<f", np.nan if corruption == "max_flow_nan" else 0.0)
+    weights = tmp_path / "weights.bin"
+    weights.write_bytes(bytes(data))
+    rc = cli.main(["calibrate", "--corpus", str(pipeline["corpus"]),
+                   "--weights", str(weights), "--out", str(tmp_path / "cal.json"),
+                   "--seed", "3"])
+    assert rc == cli.EXIT_IO
+
+
+def test_calibrate_requires_seed(pipeline, tmp_path, capsys):
+    # the calibration split must be train's, so its seed is never defaulted
+    with pytest.raises(SystemExit) as info:
+        cli.main(["calibrate", "--corpus", str(pipeline["corpus"]),
+                  "--weights", str(pipeline["weights"]),
+                  "--out", str(tmp_path / "cal.json")])
+    assert info.value.code == cli.EXIT_VALIDATION
+    assert "--seed" in capsys.readouterr().err
+    assert not (tmp_path / "cal.json").exists()
+
+
+def test_train_and_calibrate_reject_corpus_without_id_flows(pipeline, tmp_path, capsys):
+    corpus = tmp_path / "corpus"
+    shutil.copytree(pipeline["corpus"], corpus)
+    index = json.loads((corpus / "index.json").read_text())
+    index["episodes"] = [e for e in index["episodes"] if e.startswith("ood_")]
+    (corpus / "index.json").write_text(json.dumps(index))
+    for argv in (["train", "--out", str(tmp_path / "w.bin"), "--epochs", "1",
+                  "--input-size", "32"],
+                 ["calibrate", "--weights", str(pipeline["weights"]),
+                  "--out", str(tmp_path / "cal.json")]):
+        capsys.readouterr()
+        assert cli.main(argv + ["--corpus", str(corpus), "--seed", "3"]) == cli.EXIT_VALIDATION
+        assert "corpus contains no ID flow pairs" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.*"))
 
 
 def test_exit_code_oversized_pgm_header(pipeline, tmp_path):

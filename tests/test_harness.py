@@ -179,6 +179,15 @@ def test_grid_search_consistent_with_evaluate(corpus32, trained32):
     assert table[0][1] == direct
 
 
+def test_evaluate_and_grid_search_reject_empty_corpus(trained32):
+    args = (trained32["weights"], trained32["cal"])
+    cfg = trained32["detector"]
+    for run in (lambda: harness.evaluate([], *args, cfg),
+                lambda: harness.grid_search([], *args, [1.0, 3.0], cfg)):
+        with pytest.raises(ValueError, match="corpus must be nonempty"):
+            run()
+
+
 def test_grid_search_empty_thresholds(corpus32, trained32):
     root, manifests = corpus32
     with pytest.raises(ValueError):

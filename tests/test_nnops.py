@@ -203,10 +203,10 @@ def test_bilinear_identity_when_same_size():
 
 @pytest.mark.parametrize("out", [(8, 8), (3, 5)])
 def test_bilinear_core_is_float64_of_the_resize(out):
-    # the core preprocess calls: float64 bits of the float64 resize, and a
-    # new array even at the same size
+    # a float32 input, as preprocess passes: float64 bits of the float64
+    # resize, and a new array even at the same size
     img = np.random.default_rng(11).normal(size=(2, 8, 8)).astype(np.float32)
-    got = nnops._bilinear_resize(img, *out)
+    got = nnops.bilinear_resize(img, *out)
     assert got.dtype == np.float64 and not np.shares_memory(got, img)
     np.testing.assert_array_equal(got, nnops.bilinear_resize(img.astype(np.float64), *out))
 
@@ -241,5 +241,5 @@ def test_bilinear_preserves_constants():
 def test_bilinear_matches_per_pixel_oracle(src, out, dtype):
     img = _rand(src, seed=sum(src) + sum(out), dtype=dtype)
     got = nnops.bilinear_resize(img, *out)
-    assert got.dtype == dtype
-    np.testing.assert_array_equal(got, naive_bilinear_resize(img, *out))
+    assert got.dtype == np.float64  # whatever the input dtype
+    np.testing.assert_array_equal(got, naive_bilinear_resize(img.astype(np.float64), *out))

@@ -31,8 +31,10 @@ def _shifted_pair(seed, size=64):
 # ---------------------------------------------------------------------------
 
 def _derivatives(a, b):
-    """(ix, iy, it) of an unsmoothed frame pair, as lucas_kanade computes them."""
-    return opticflow._derivatives(*opticflow._prepare_pair(a, b, NO_SMOOTH))
+    """(ix, iy, it) of an unsmoothed frame pair, as lucas_kanade computes them:
+    in float64, from the frames cast to float32."""
+    return opticflow._derivatives(*(np.asarray(f, np.float32).astype(np.float64)
+                                    for f in (a, b)))
 
 
 def test_gradients_constant_frames_all_zero():
@@ -335,5 +337,11 @@ def test_flow_sequence_rejects_what_lucas_kanade_rejects():
     for broken in (frames[:2] + [wide] + frames[3:], frames[:2] + [bad] + frames[3:]):
         want = _error_text(opticflow.lucas_kanade, broken[1], broken[2])
         assert _error_text(opticflow.flow_sequence, broken, FlowParams()) == want
+    # frames are checked in order, so pair 0's shape error comes before the
+    # NaN of the frame after it
+    mixed = [frames[0], wide, bad]
+    want = _error_text(opticflow.lucas_kanade, mixed[0], mixed[1])
+    assert "frame dimensions differ" in want
+    assert _error_text(opticflow.flow_sequence, mixed, FlowParams()) == want
     for short in ([], frames[:1]):
         assert _error_text(opticflow.flow_sequence, short, FlowParams()) == "need at least 2 frames"

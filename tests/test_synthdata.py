@@ -115,10 +115,24 @@ def test_velocity_reversal_flow_negated():
     dict(kind="intruder_cut", onset=20, magnitude=1.0),          # missing region
     dict(kind="intruder_cut", onset=20, magnitude=1.0, region="up"),
     dict(kind="velocity_reversal", onset=20, magnitude=1.0, region="ne"),
+    dict(kind="speed_spike", onset=20, magnitude=np.nan),
+    dict(kind="speed_spike", onset=20, magnitude=np.inf),
+    dict(kind="speed_spike", onset=2.5, magnitude=1.0),
 ])
 def test_anomaly_spec_validation(bad):
     with pytest.raises(ValueError):
         AnomalySpec(**bad)
+
+
+@pytest.mark.parametrize("bad", [
+    dict(velocity_jitter=np.nan),
+    dict(velocity_jitter=np.inf),
+    dict(size=32.5),
+    dict(episode_length=10.5),
+])
+def test_scene_config_validation(bad):
+    with pytest.raises(ValueError):
+        SceneConfig(**bad)
 
 
 def test_ood_onset_range_validation():

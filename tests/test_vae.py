@@ -349,14 +349,24 @@ def test_load_weights_checks_header_sizes_before_reading(tmp_path, header):
     assert peak < 1 << 20
 
 
-@pytest.mark.parametrize("max_flow", [0.0, np.inf], ids=["zero", "inf"])
+@pytest.mark.parametrize("max_flow", [0.0, np.inf, np.nan], ids=["zero", "inf", "nan"])
 def test_load_weights_rejects_bad_max_flow(tmp_path, tiny_arch, max_flow):
     p = tmp_path / "w.bin"
     vae.save_weights(p, vae.init_weights(tiny_arch, 0))
     data = bytearray(p.read_bytes())
     data[16:20] = struct.pack("<f", max_flow)  # after magic, version, size, latent
     p.write_bytes(bytes(data))
-    with pytest.raises(ValueError, match="max_flow"):
+    with pytest.raises(gridio.FormatError, match="max_flow"):
+        vae.load_weights(p)
+
+
+def test_load_weights_rejects_non_finite_tensor(tmp_path, tiny_arch):
+    p = tmp_path / "w.bin"
+    vae.save_weights(p, vae.init_weights(tiny_arch, 0))
+    data = bytearray(p.read_bytes())
+    data[-4:] = struct.pack("<f", np.inf)  # the last value of the last tensor
+    p.write_bytes(bytes(data))
+    with pytest.raises(gridio.FormatError, match="non-finite"):
         vae.load_weights(p)
 
 
