@@ -27,46 +27,51 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="oodflow",
         description="Streaming out-of-distribution motion detection.")
     sub = parser.add_subparsers(dest="command", required=True)
-    # shared inputs, each declared once: a model, and an episode to run it on
+    # shared flags, each declared once: a model, an episode to run it on, the
+    # detector's settings, and the corpus split that train and calibrate share
     model = argparse.ArgumentParser(add_help=False)
     model.add_argument("--weights", required=True)
     model.add_argument("--cal", required=True)
     episode = argparse.ArgumentParser(add_help=False, parents=[model])
     episode.add_argument("--episode", required=True)
+    detector = argparse.ArgumentParser(add_help=False)
+    detector.add_argument("--threshold", type=float,
+                          default=conformal.DetectorConfig.log_threshold)
+    detector.add_argument("--window", type=int, default=conformal.DetectorConfig.window)
+    detector.add_argument("--consecutive", type=int,
+                          default=conformal.DetectorConfig.consecutive)
+    split = argparse.ArgumentParser(add_help=False)
+    split.add_argument("--corpus", required=True)
+    split.add_argument("--seed", type=int, required=True,
+                       help="seed of the holdout split (calibrate's must be train's)")
+    split.add_argument("--fraction", type=float, default=0.2,
+                       help="calibration holdout fraction (calibrate's must be train's)")
 
     p = sub.add_parser("synth", help="generate a synthetic labeled episode corpus")
     p.add_argument("--out", required=True)
     p.add_argument("--n-id", type=int, required=True)
     p.add_argument("--n-ood", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--size", type=int, default=64)
-    p.add_argument("--length", type=int, default=60)
+    p.add_argument("--size", type=int, default=synthdata.SceneConfig.size)
+    p.add_argument("--length", type=int, default=synthdata.SceneConfig.episode_length)
 
-    p = sub.add_parser("train", help="train the VAE on a corpus's ID episodes")
-    p.add_argument("--corpus", required=True)
+    p = sub.add_parser("train", help="train the VAE on a corpus's ID episodes",
+                       parents=[split])
     p.add_argument("--out", required=True)
     p.add_argument("--epochs", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--latent", type=int, default=24)
-    p.add_argument("--input-size", type=int, default=64)
+    p.add_argument("--latent", type=int, default=vae.VaeArchitecture.latent_dim)
+    p.add_argument("--input-size", type=int, default=vae.VaeArchitecture.input_size)
     p.add_argument("--max-flow", type=float, default=vae.DEFAULT_MAX_FLOW)
-    p.add_argument("--batch-size", type=int, default=32)
-    p.add_argument("--fraction", type=float, default=0.2,
-                   help="calibration holdout fraction (must match calibrate)")
+    p.add_argument("--batch-size", type=int, default=trainer_mod.TrainConfig.batch_size)
     p.add_argument("--log", default=None, help="optional training-log CSV path")
 
-    p = sub.add_parser("calibrate", help="build the calibration file from held-out flows")
-    p.add_argument("--corpus", required=True)
+    p = sub.add_parser("calibrate", help="build the calibration file from held-out flows",
+                       parents=[split])
     p.add_argument("--weights", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, required=True,
-                   help="must match the seed used for train's holdout split")
-    p.add_argument("--fraction", type=float, default=0.2)
 
-    p = sub.add_parser("detect", help="run the detector over one episode", parents=[episode])
-    p.add_argument("--threshold", type=float, default=3.0)
-    p.add_argument("--window", type=int, default=10)
-    p.add_argument("--consecutive", type=int, default=10)
+    p = sub.add_parser("detect", help="run the detector over one episode",
+                       parents=[episode, detector])
     p.add_argument("--out-curve", required=True)
     p.add_argument("--out-events", required=True)
 
@@ -77,13 +82,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-composite", required=True)
     p.add_argument("--overlay-threshold", type=float, default=0.5)
 
-    p = sub.add_parser("eval", help="episode-level metrics over a corpus", parents=[model])
+    p = sub.add_parser("eval", help="episode-level metrics over a corpus",
+                       parents=[model, detector])
     p.add_argument("--corpus", required=True)
     p.add_argument("--grid", default=None,
-                   help="comma-separated thresholds to search (best by F1)")
-    p.add_argument("--threshold", type=float, default=3.0)
-    p.add_argument("--window", type=int, default=10)
-    p.add_argument("--consecutive", type=int, default=10)
+                   help="comma-separated thresholds to search (best by F1); "
+                        "without it, --threshold alone")
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("bench", help="measure per-decision latency", parents=[episode])
@@ -178,22 +182,17 @@ def _cmd_eval(args) -> None:
     weights = vae.load_weights(args.weights)
     cal, _ = harness.load_calibration(args.cal)
     manifests = harness.load_corpus(args.corpus)
-    cfg = _detector_config(args)
     if args.grid:
         thresholds = [float(t) for t in args.grid.split(",") if t.strip()]
-        best_tau, table, records = harness.grid_search(
-            manifests, weights, cal, thresholds, cfg)
-        print("threshold  f1      fpr     tpr     accuracy")
-        for tau, m in table:
-            print(f"{tau:9.3f}  {m.f1:.4f}  {m.fpr:.4f}  {m.tpr:.4f}  {m.accuracy:.4f}")
-        metrics = harness.metrics_from_records(records)
-        harness.write_metrics_json(args.out, metrics, best_tau)
-        print(f"best threshold {best_tau} -> {args.out}")
     else:
-        metrics, _ = harness.evaluate(manifests, weights, cal, cfg)
-        harness.write_metrics_json(args.out, metrics, args.threshold)
-        print(f"f1={metrics.f1:.4f} fpr={metrics.fpr:.4f} tpr={metrics.tpr:.4f} "
-              f"-> {args.out}")
+        thresholds = [args.threshold]
+    best_tau, table, records = harness.grid_search(
+        manifests, weights, cal, thresholds, _detector_config(args))
+    print("threshold  f1      fpr     tpr     accuracy")
+    for tau, m in table:
+        print(f"{tau:9.3f}  {m.f1:.4f}  {m.fpr:.4f}  {m.tpr:.4f}  {m.accuracy:.4f}")
+    harness.write_metrics_json(args.out, harness.metrics_from_records(records), best_tau)
+    print(f"best threshold {best_tau} -> {args.out}")
 
 
 def _cmd_bench(args) -> None:

@@ -21,11 +21,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import astuple, dataclass, fields
-from numbers import Integral
 
 import numpy as np
 
 from . import opticflow, vae
+from .gridio import _check_int
 
 # 64-node Gauss-Legendre rule on [0, 1] for the mixture integral
 _NODES, _WEIGHTS = np.polynomial.legendre.leggauss(64)
@@ -69,9 +69,7 @@ class DetectorConfig:
     def __post_init__(self):
         # a fractional window breaks slicing, and a fractional run never ends
         for name in ("window", "consecutive"):
-            value = getattr(self, name)
-            if not (isinstance(value, Integral) and value >= 1):
-                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+            _check_int(name, getattr(self, name), 1)
         # NaN would never alarm, and neither value can be written as JSON
         if not np.isfinite(self.log_threshold):
             raise ValueError(f"log_threshold must be finite, got {self.log_threshold}")

@@ -10,10 +10,10 @@ are JSON documents listing frame files and ground-truth labels.
 from __future__ import annotations
 
 import json
-import math
 import os
 import struct
 from dataclasses import dataclass
+from numbers import Integral
 from pathlib import Path
 
 import numpy as np
@@ -180,7 +180,6 @@ class EpisodeManifest:
     frame_paths: tuple[Path, ...]
     label: str
     onset_frame: int | None = None
-    fps: float | None = None
 
     def __post_init__(self):
         if self.label not in (LABEL_ID, LABEL_OOD):
@@ -197,13 +196,17 @@ class EpisodeManifest:
                 )
         elif self.onset_frame is not None:
             raise ValueError("onset_frame is only valid on OOD manifests")
-        if self.fps is not None and not (self.fps > 0 and math.isfinite(self.fps)):
-            raise ValueError(f"fps must be finite and positive, got {self.fps}")
 
 
 def _is_int(x) -> bool:
-    # bool is a subclass of int, but a JSON true/false is not a count
-    return isinstance(x, int) and not isinstance(x, bool)
+    # bool is an Integral, but True is not a count
+    return isinstance(x, Integral) and not isinstance(x, bool)
+
+
+def _check_int(name: str, value, low: int) -> None:
+    """Raise ValueError unless ``value`` is an integer >= ``low``."""
+    if not (_is_int(value) and value >= low):
+        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
 
 
 def _read_json_object(path, what: str) -> dict:
@@ -238,14 +241,10 @@ def read_manifest(path) -> EpisodeManifest:
     onset = doc.get("onset_frame")
     if onset is not None and not _is_int(onset):
         raise ValueError("onset_frame must be an integer")
-    fps = doc.get("fps")
-    if fps is not None and not (_is_int(fps) or isinstance(fps, float)):
-        raise ValueError("fps must be a number")
     # joining an absolute path keeps it as it is
     resolved = tuple(path.parent / f for f in frames)
     return EpisodeManifest(id=str(doc["id"]), frame_paths=resolved, label=doc["label"],
-                           onset_frame=onset,
-                           fps=float(fps) if fps is not None else None)
+                           onset_frame=onset)
 
 
 def write_manifest(path, manifest: EpisodeManifest) -> None:
@@ -257,8 +256,6 @@ def write_manifest(path, manifest: EpisodeManifest) -> None:
                       for p in frames]}
     if manifest.onset_frame is not None:
         doc["onset_frame"] = manifest.onset_frame
-    if manifest.fps is not None:
-        doc["fps"] = manifest.fps
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -328,7 +328,7 @@ def grid_search(manifests, weights, cal: CalibrationSet, thresholds,
 
 def measure_latency(frames, weights, cal: CalibrationSet,
                     cfg: conformal.DetectorConfig,
-                    warmup: int = 3, reps: int = 50) -> LatencyReport:
+                    warmup: int, reps: int) -> LatencyReport:
     """Wall-clock time of per-frame detection decisions.
 
     A decision is flow + preprocessing + encoding + KL + p-value +
@@ -337,10 +337,8 @@ def measure_latency(frames, weights, cal: CalibrationSet,
     Breakdown buckets: flow (optic flow), encode (preprocess/encoder/KL),
     conformal (p-value and martingale update).
     """
-    if warmup < 1:
-        raise ValueError("warmup must be >= 1")
-    if reps < 10:
-        raise ValueError("reps must be >= 10")
+    gridio._check_int("warmup", warmup, 1)
+    gridio._check_int("reps", reps, 10)
     frames = list(frames)
     if len(frames) < 2:
         raise ValueError("need at least 2 frames")
@@ -388,8 +386,9 @@ def save_calibration(path, cal: CalibrationSet,
 
 def _numbers(doc: dict, key: str) -> np.ndarray:
     values = doc[key]
+    # float first: nearly every value is one, and _is_int's ABC check is slower
     if not isinstance(values, list) or not all(
-            gridio._is_int(v) or isinstance(v, float) for v in values):
+            isinstance(v, float) or gridio._is_int(v) for v in values):
         raise ValueError(f"calibration field {key!r} must be a list of numbers")
     return np.asarray(values, dtype=np.float64)
 

@@ -84,7 +84,7 @@ def overlay(activations: np.ndarray, stats: ActivationStats,
     return up.astype(np.float32)
 
 
-def render(frame, overlay_map: np.ndarray, threshold: float = 0.5) -> np.ndarray:
+def render(frame, overlay_map: np.ndarray, threshold: float) -> np.ndarray:
     """Composite a red overlay onto a grayscale frame; returns (3, H, W).
 
     Where the map reaches the threshold, the red channel is blended toward

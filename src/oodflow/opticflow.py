@@ -9,12 +9,11 @@ are biased toward zero flow by the regularizer instead of blowing up.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from numbers import Integral
 
 import numpy as np
 from scipy.ndimage import gaussian_filter, uniform_filter
 
-from .gridio import frame2d
+from .gridio import _check_int, frame2d
 
 
 @dataclass(frozen=True)
@@ -32,9 +31,7 @@ class FlowParams:
 
     def __post_init__(self):
         # a fractional radius would widen the window, and NaN passes any `< 0`
-        radius = self.window_radius
-        if not (isinstance(radius, Integral) and radius >= 1):
-            raise ValueError(f"window_radius must be an integer >= 1, got {radius!r}")
+        _check_int("window_radius", self.window_radius, 1)
         for name in ("regularization", "presmooth_sigma"):
             value = getattr(self, name)
             if not (np.isfinite(value) and value >= 0):

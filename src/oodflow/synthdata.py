@@ -18,12 +18,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
-from numbers import Integral
 from pathlib import Path
 
 import numpy as np
 
-from .gridio import EpisodeManifest, write_manifest, write_pgm
+from .gridio import EpisodeManifest, _check_int, write_manifest, write_pgm
 
 ANOMALY_KINDS = ("intruder_cut", "velocity_reversal", "speed_spike")
 BASE_VELOCITY = (1.0, 0.0)  # px/frame, (x, y)
@@ -43,9 +42,7 @@ class SceneConfig:
         # a fractional count fails in range(), and a non-finite jitter in
         # _sample_wrapped, far from their cause
         for name, low in (("episode_length", 2), ("size", 16)):
-            value = getattr(self, name)
-            if not (isinstance(value, Integral) and value >= low):
-                raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+            _check_int(name, getattr(self, name), low)
         if not np.isfinite(self.velocity_jitter):
             raise ValueError(f"velocity_jitter must be finite, got {self.velocity_jitter}")
 
@@ -60,9 +57,9 @@ class AnomalySpec:
     def __post_init__(self):
         if self.kind not in ANOMALY_KINDS:
             raise ValueError(f"unknown anomaly kind {self.kind!r}")
-        # a fractional onset cannot be written to a manifest
-        if not isinstance(self.onset, Integral):
-            raise ValueError(f"onset must be an integer, got {self.onset!r}")
+        # a fractional onset cannot be written to a manifest, and the first
+        # decision is made at frame 1
+        _check_int("onset", self.onset, 1)
         if not (np.isfinite(self.magnitude) and self.magnitude > 0):
             raise ValueError(f"magnitude must be finite and positive, got {self.magnitude}")
         if self.kind == "intruder_cut":

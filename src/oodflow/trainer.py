@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import csv
 from dataclasses import astuple, dataclass, fields
-from numbers import Integral
 
 import numpy as np
 
 from . import nnops, vae
 from .conformal import CalibrationSet
+from .gridio import _check_int
 # kl_score is not called here; perfbench's tracer checks that it wraps this alias
 from .vae import NumericError, VaeArchitecture, VaeWeights, kl_score  # noqa: F401
 
@@ -37,9 +37,7 @@ class TrainConfig:
         # a fractional count fails in range(), and a non-finite learning rate
         # or KL weight only once training has run
         for name, low in (("epochs", 0), ("batch_size", 1)):
-            value = getattr(self, name)
-            if not (isinstance(value, Integral) and value >= low):
-                raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+            _check_int(name, getattr(self, name), low)
         for name in ("learning_rate", "beta_kl"):
             if not np.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")

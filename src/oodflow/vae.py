@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import nnops
-from .gridio import FormatError
+from .gridio import FormatError, _check_int
 
 WEIGHTS_MAGIC = b"VAEW"
 WEIGHTS_VERSION = 1
@@ -73,10 +73,12 @@ class VaeArchitecture:
     def __post_init__(self):
         if len(self.conv_channels) != 4:
             raise ValueError("conv_channels must list exactly 4 layer widths")
-        if self.input_size < 16 or self.input_size % 16 != 0:
-            raise ValueError("input_size must be a positive multiple of 16")
-        if self.latent_dim < 1:
-            raise ValueError("latent_dim must be >= 1")
+        for i, width in enumerate(self.conv_channels):
+            _check_int(f"conv_channels[{i}]", width, 1)
+        _check_int("input_size", self.input_size, 16)
+        if self.input_size % 16 != 0:
+            raise ValueError("input_size must be a multiple of 16")
+        _check_int("latent_dim", self.latent_dim, 1)
 
     @property
     def grid_size(self) -> int:
@@ -197,25 +199,23 @@ def encoder(tensors: dict[str, np.ndarray], x: np.ndarray,
 
 
 def decoder(tensors: dict[str, np.ndarray], arch: VaeArchitecture,
-            z: np.ndarray, tape: list | None = None) -> np.ndarray:
+            z: np.ndarray, tape: list) -> np.ndarray:
     """The decoder network on (N, m) latents; returns a C-contiguous (N, C, S, S).
 
-    With a ``tape``, the dense layer appends (z, ReLU mask), each of the
-    transposed convs tdec0-tdec2 appends (input, ReLU mask), and tdec3,
-    whose output is the reconstruction, appends (input, None), for the
-    backward pass.  Each ReLU writes over its pre-activation.
+    For the backward pass, the dense layer appends (z, ReLU mask) to
+    ``tape``, each of the transposed convs tdec0-tdec2 appends (input, ReLU
+    mask), and tdec3, whose output is the reconstruction, appends (input,
+    None).  Each ReLU writes over its pre-activation.
     """
     pre = nnops.linear(z, tensors["dec_w"], tensors["dec_b"])
-    if tape is not None:
-        tape.append((z, pre > 0))
+    tape.append((z, pre > 0))
     h = nnops.relu(pre).reshape(z.shape[0], arch.conv_channels[-1],
                                 arch.grid_size, arch.grid_size)
     for i in range(4):
         y = nnops.conv_transpose2d(h, tensors[f"tdec{i}_w"], tensors[f"tdec{i}_b"],
                                    STRIDE, PADDING)
         last = i == 3  # the reconstruction: no ReLU, so no mask
-        if tape is not None:
-            tape.append((h, None if last else y > 0))
+        tape.append((h, None if last else y > 0))
         h = y if last else nnops.relu(y)
     return np.ascontiguousarray(h)
 

@@ -108,6 +108,22 @@ def test_eval_grid_search(pipeline, tmp_path, capsys):
     assert doc["threshold"] in (1.0, 2.0, 3.0, 4.0, 5.0)
 
 
+@pytest.mark.parametrize("detector, grid", [
+    ([], "3"),
+    (["--threshold", "1.5", "--window", "5", "--consecutive", "3"], "1.5"),
+], ids=["defaults", "set"])
+def test_plain_eval_is_the_one_threshold_grid(pipeline, tmp_path, capsys, detector, grid):
+    # without --grid, --threshold is the one threshold searched
+    args = ["eval", "--corpus", str(pipeline["corpus"]),
+            "--weights", str(pipeline["weights"]), "--cal", str(pipeline["cal"])]
+    assert cli.main(args + detector + ["--out", str(tmp_path / "plain.json")]) == 0
+    assert "best threshold" in capsys.readouterr().out
+    assert cli.main(args + detector + ["--grid", grid,
+                                       "--out", str(tmp_path / "grid.json")]) == 0
+    assert ((tmp_path / "plain.json").read_bytes()
+            == (tmp_path / "grid.json").read_bytes())
+
+
 def test_module_eval_matches_cli_main(pipeline, tmp_path):
     # `python -m oodflow eval` scores on spawned workers, which import the
     # entry module; it must run the command once and write the same file
@@ -174,13 +190,22 @@ def test_exit_code_bad_weights_format(pipeline, tmp_path):
     assert rc == cli.EXIT_IO
 
 
-@pytest.mark.parametrize("corruption", ["max_flow_nan", "max_flow_zero", "tensor_inf"])
+@pytest.mark.parametrize("corruption", ["max_flow_nan", "max_flow_zero", "tensor_inf",
+                                        "conv_width_zero"])
 def test_exit_code_corrupt_weights_values(pipeline, tmp_path, corruption):
     # values the header or payload stores but the network cannot use are a
     # format error, as an invalid architecture in the header is
     data = bytearray(pipeline["weights"].read_bytes())
     if corruption == "tensor_inf":
         data[-4:] = struct.pack("<f", np.inf)
+    elif corruption == "conv_width_zero":
+        # the last conv width (header bytes 24-40) set to 0, followed by
+        # exactly the zero tensors that architecture implies
+        latent = struct.unpack_from("<I", data, 12)[0]
+        chans = (2,) + struct.unpack_from("<4I", data, 24)[:3] + (0,)
+        n = 2 * latent + sum(2 * 16 * chans[i] * chans[i + 1] + chans[i] + chans[i + 1]
+                             for i in range(4))
+        data = data[:24] + struct.pack("<4I", *chans[1:]) + bytes(4 * n)
     else:  # max_flow follows the magic, version, input size and latent size
         data[16:20] = struct.pack("<f", np.nan if corruption == "max_flow_nan" else 0.0)
     weights = tmp_path / "weights.bin"

@@ -222,7 +222,7 @@ def test_window_eviction():
 
 def test_detector_config_validation():
     for bad in (dict(window=0), dict(consecutive=0),
-                dict(window=2.5), dict(consecutive=2.5),
+                dict(window=2.5), dict(consecutive=2.5), dict(window=True),
                 dict(log_threshold=float("nan")), dict(log_threshold=float("inf")),
                 dict(log_threshold=-float("inf"))):
         with pytest.raises(ValueError):

@@ -178,10 +178,6 @@ def test_read_manifest_ood_with_onset(tmp_path):
     {"id": "x", "label": "id"},                      # missing frames
     {"id": "x", "frames": ["a", "b"]},               # missing label
     _manifest_doc(label="ood", onset_frame=True),    # JSON booleans
-    _manifest_doc(fps=False),
-    _manifest_doc(fps=-1),
-    _manifest_doc(fps=0),
-    _manifest_doc(fps=float("nan")),
 ])
 def test_read_manifest_rejects_invalid(tmp_path, doc):
     with pytest.raises(ValueError):
@@ -223,7 +219,7 @@ def test_manifest_write_read_round_trip(tmp_path):
     m = gridio.EpisodeManifest(
         id="ep1",
         frame_paths=tuple(tmp_path / f"f{i}.pgm" for i in range(3)),
-        label="ood", onset_frame=1, fps=30.0)
+        label="ood", onset_frame=1)
     gridio.write_manifest(tmp_path / "manifest.json", m)
     back = gridio.read_manifest(tmp_path / "manifest.json")
     assert back == m

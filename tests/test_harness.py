@@ -437,6 +437,11 @@ def test_measure_latency_validation(trained32):
         harness.measure_latency(ep.frames, trained32["weights"],
                                 trained32["cal"], trained32["detector"],
                                 warmup=1, reps=5)
+    for warmup, reps in ((1.5, 10), (1, 10.5)):
+        with pytest.raises(ValueError, match="must be an integer"):
+            harness.measure_latency(ep.frames, trained32["weights"],
+                                    trained32["cal"], trained32["detector"],
+                                    warmup=warmup, reps=reps)
 
 
 # ---------------------------------------------------------------------------

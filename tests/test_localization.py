@@ -125,7 +125,7 @@ def test_overlay_shape_mismatch():
 def test_render_zero_map_is_gray_replicated():
     rng = np.random.default_rng(7)
     frame = rng.uniform(size=(16, 16)).astype(np.float32)
-    out = localization.render(frame, np.zeros((16, 16)))
+    out = localization.render(frame, np.zeros((16, 16)), 0.5)
     assert out.shape == (3, 16, 16)
     for c in range(3):
         np.testing.assert_allclose(out[c], frame, atol=1e-6)
@@ -152,7 +152,7 @@ def test_render_red_only_in_masked_quadrant():
 
 def test_render_validates():
     with pytest.raises(ValueError):
-        localization.render(np.zeros((8, 8)), np.zeros((9, 8)))
+        localization.render(np.zeros((8, 8)), np.zeros((9, 8)), 0.5)
     with pytest.raises(ValueError):
         localization.render(np.zeros((8, 8)), np.zeros((8, 8)), threshold=1.5)
 

@@ -138,7 +138,7 @@ def test_flow_params_validation():
 @pytest.mark.parametrize("name,value", [
     ("regularization", np.nan), ("regularization", np.inf),
     ("presmooth_sigma", np.nan), ("presmooth_sigma", np.inf),
-    ("window_radius", 2.5), ("window_radius", 2.0),
+    ("window_radius", 2.5), ("window_radius", 2.0), ("window_radius", True),
 ])
 def test_flow_params_rejects_non_finite_and_fractional_values(name, value):
     # each of these used to be accepted: NaN regularization gave all-NaN

@@ -118,6 +118,7 @@ def test_velocity_reversal_flow_negated():
     dict(kind="speed_spike", onset=20, magnitude=np.nan),
     dict(kind="speed_spike", onset=20, magnitude=np.inf),
     dict(kind="speed_spike", onset=2.5, magnitude=1.0),
+    dict(kind="speed_spike", onset=True, magnitude=1.0),   # a bool is no count
 ])
 def test_anomaly_spec_validation(bad):
     with pytest.raises(ValueError):

@@ -167,7 +167,8 @@ def test_train_aborts_on_divergence(tiny_arch):
 
 def test_train_config_validation():
     for bad in (dict(epochs=-1), dict(epochs=1, batch_size=0), dict(epochs=1.5),
-                dict(epochs=1, batch_size=2.5), dict(epochs=1, learning_rate=np.nan),
+                dict(epochs=1, batch_size=2.5), dict(epochs=True),
+                dict(epochs=1, learning_rate=np.nan),
                 dict(epochs=1, beta_kl=np.nan)):
         with pytest.raises(ValueError):
             TrainConfig(**bad)

@@ -34,6 +34,11 @@ def test_architecture_validation():
         VaeArchitecture(latent_dim=0)
     with pytest.raises(ValueError):
         VaeArchitecture(conv_channels=(8, 16))
+    # sizes it cannot build
+    for bad in (dict(input_size=64.0), dict(latent_dim=2.5), dict(latent_dim=True),
+                dict(conv_channels=(32, 64, 128, 0))):
+        with pytest.raises(ValueError):
+            VaeArchitecture(**bad)
 
 
 def test_architecture_downsampling_chain():
@@ -148,7 +153,7 @@ def test_encode_matches_reference_forward(tiny_arch):
 
 def test_decode_zero_weights_zero_output(tiny_arch):
     w = _zero_weights(tiny_arch)
-    out = vae.decoder(w.tensors, tiny_arch, np.ones((1, tiny_arch.latent_dim)))
+    out = vae.decoder(w.tensors, tiny_arch, np.ones((1, tiny_arch.latent_dim)), [])
     assert out.shape == (1, 2, 16, 16)
     assert not out.any()
 
@@ -158,7 +163,7 @@ def test_decode_matches_reference_forward(tiny_arch):
     w = vae.init_weights(tiny_arch, 43)
     params = {k: v.astype(np.float64) for k, v in w.tensors.items()}
     z = np.random.default_rng(3).normal(size=(3, tiny_arch.latent_dim))
-    out = vae.decoder(params, tiny_arch, z)
+    out = vae.decoder(params, tiny_arch, z, [])
     for i in range(3):
         np.testing.assert_allclose(out[i], naive_decode(w, z[i]),
                                    rtol=1e-9, atol=1e-12)
@@ -177,7 +182,7 @@ def test_float64_network_matches_reference_forward(tiny_arch):
                                ref_logvar, **tol)
     np.testing.assert_allclose(acts[0], ref_acts, **tol)
     z = np.random.default_rng(4).normal(size=tiny_arch.latent_dim)
-    recon = vae.decoder(params, tiny_arch, z[None])
+    recon = vae.decoder(params, tiny_arch, z[None], [])
     assert recon.dtype == np.float64
     np.testing.assert_allclose(recon[0], naive_decode(w, z), **tol)
 
