@@ -106,13 +106,19 @@ def _cmd_synth(args) -> None:
 
 
 def _split_corpus(args, arch: vae.VaeArchitecture, max_flow: float):
-    """(train, calibration) parts of the preprocessed ID flows of ``--corpus``."""
-    manifests = harness.load_corpus(args.corpus)
-    dataset = harness.corpus_flow_dataset(manifests, opticflow.FlowParams(),
-                                          arch, max_flow)
-    if not dataset:
-        raise ValueError("corpus contains no ID flow pairs")
-    return trainer_mod.split_calibration(dataset, args.fraction, args.seed)
+    """(train, calibration) parts of the preprocessed ID flows of ``--corpus``.
+
+    The corpus is read only once split_calibration has checked
+    ``--fraction``, so a bad fraction fails before any flow is solved.
+    """
+    def flows():
+        dataset = harness.corpus_flow_dataset(harness.load_corpus(args.corpus),
+                                              opticflow.FlowParams(), arch, max_flow)
+        if not dataset:
+            raise ValueError("corpus contains no ID flow pairs")
+        yield from dataset
+
+    return trainer_mod.split_calibration(flows(), args.fraction, args.seed)
 
 
 def _cmd_train(args) -> None:

@@ -76,8 +76,8 @@ def conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray, stride: int,
            pad: int) -> tuple[np.ndarray, np.ndarray]:
     """Strided convolution; weight layout (out_c, in_c, k, k).
 
-    Returns the output and the im2col cache needed by the backward pass.
-    The bias is added in place on the gemm's output.
+    Returns the output and its im2col columns, the input conv2d_backward
+    takes.  The bias is added in place on the gemm's output.
     """
     n, _, h, width = x.shape
     oc, _, k, _ = w.shape
@@ -90,7 +90,7 @@ def conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray, stride: int,
 
 
 def conv2d_backward(dy: np.ndarray, cols: np.ndarray, w: np.ndarray):
-    """Gradients of conv2d w.r.t. weight and bias, from its im2col cache."""
+    """Gradients of conv2d w.r.t. weight and bias, from its input's im2col columns."""
     n, oc = dy.shape[:2]
     # numpy sums in an order set by the memory layout: a C-contiguous copy
     # keeps the bias gradient independent of the layout dy arrives in
@@ -151,12 +151,12 @@ def relu(x: np.ndarray) -> np.ndarray:
 
 
 def relu_backward(dy: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """dy where x > 0, else 0.
+    """dy where x > 0, else 0, written over ``dy``; returns ``dy``.
 
     ``x`` may be the pre-activation, the ReLU's output or the boolean mask
     ``pre > 0``: all three give the same bits.
     """
-    return dy * (x > 0)
+    return np.multiply(dy, x > 0, out=dy)
 
 
 def bilinear_resize(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray:

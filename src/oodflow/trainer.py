@@ -23,6 +23,8 @@ from .vae import NumericError, VaeArchitecture, VaeWeights, kl_score  # noqa: F4
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPSILON = 1e-8
+# elements per Adam chunk: 256 KiB per float64 temporary
+ADAM_CHUNK = 32 * 1024
 
 
 @dataclass(frozen=True)
@@ -97,7 +99,9 @@ def _backward(params: dict[str, np.ndarray], cache: dict,
             g, dec_tape.pop()[0], params[f"tdec{i}_w"], s, p)
         mask = dec_tape[-1][1]
         g = nnops.relu_backward(dx.reshape(mask.shape), mask)
-        del dx  # before the next layer's gemms; the free order moves peak RSS
+        # the reshape copies dx only into the dense layer: free it there
+        # before the next gemm, since the free order moves peak RSS
+        del dx
     dz, grads["dec_w"], grads["dec_b"] = nnops.linear_backward(
         g, dec_tape.pop()[0], params["dec_w"])
 
@@ -113,11 +117,15 @@ def _backward(params: dict[str, np.ndarray], cache: dict,
         dlogvar_raw, cache["flat"], params["logvar_w"])
     g = (dflat_mu + dflat_lv).reshape(enc_tape[-1][1].shape)
 
+    # each layer's columns are rebuilt from its taped input, used for its
+    # weight gradient and dropped: one layer's columns live at a time
     for i in range(3, -1, -1):
-        cols, mask = enc_tape.pop()
+        x, mask = enc_tape.pop()
         g = nnops.relu_backward(g, mask)
+        cols = nnops.im2col(x, vae.KERNEL, s, p)
         grads[f"enc{i}_w"], grads[f"enc{i}_b"] = nnops.conv2d_backward(
             g, cols, params[f"enc{i}_w"])
+        del x, cols
         if i > 0:  # the input of enc0 is the data, which needs no gradient
             g = nnops.conv2d_input_grad(g, params[f"enc{i}_w"], s, p)
     return grads
@@ -135,34 +143,45 @@ def train(dataset, config: TrainConfig, arch: VaeArchitecture,
     seeded initial weights are returned untouched.  Raises NumericError if a
     batch loss goes non-finite.
     """
-    if len(dataset) == 0:
+    items = [np.asarray(d) for d in dataset]
+    if not items:
         raise ValueError("dataset must be nonempty")
     expected = (vae.INPUT_CHANNELS, arch.input_size, arch.input_size)
-    # one float64 allocation; each item is converted as it is copied in
-    x_all = np.empty((len(dataset),) + expected)
-    for i, d in enumerate(dataset):
-        d = np.asarray(d)
+    for d in items:
         if d.shape != expected:
             raise ValueError(f"dataset items must have shape {expected}, got {d.shape}")
-        x_all[i] = d
 
     rng = np.random.default_rng(config.seed)
     params = vae.init_params(arch, rng)
     m_state = {k: np.zeros_like(v) for k, v in params.items()}
     v_state = {k: np.zeros_like(v) for k, v in params.items()}
+    # Adam's two temporaries, for one chunk of a tensor at a time
+    chunk1, chunk2 = np.empty(ADAM_CHUNK), np.empty(ADAM_CHUNK)
     step = 0
-    n = x_all.shape[0]
+    n = len(items)
     log: list[EpochStats] = []
+    grads = None
 
     for epoch in range(config.epochs):
         perm = rng.permutation(n)
         tot_sum = rec_sum = kl_sum = 0.0
         for start in range(0, n, config.batch_size):
             batch_idx = perm[start:start + config.batch_size]
-            xb = x_all[batch_idx]
+            # each item is converted to float64 as it is copied in: exact
+            # for float32 flows, and no float64 copy of the data set is kept
+            xb = np.empty((len(batch_idx),) + expected)
+            for row, i in enumerate(batch_idx):
+                xb[row] = items[i]
             noise = rng.standard_normal((xb.shape[0], arch.latent_dim))
             total_per, recon_per, kl_per, cache = _forward(
                 params, arch, xb, noise, config.beta_kl)
+            # free the previous step's gradients now, below this step's tape,
+            # where _backward reuses their memory.  Freed with the tape, they
+            # let glibc trim the heap and each step faults it back in (about
+            # 92k against 9-21k minor faults over 2 epochs of 378 flows at
+            # 64 px); freed when _backward returns, they add about 10 MB to
+            # peak RSS
+            grads = None
             loss = float(total_per.mean())
             if not np.isfinite(loss):
                 raise NumericError(
@@ -173,33 +192,33 @@ def train(dataset, config: TrainConfig, arch: VaeArchitecture,
             rec_sum += float(recon_per.sum())
             kl_sum += float(kl_per.sum())
             grads = _backward(params, cache, config.beta_kl)
-            # one tape per step: free this one before the next forward.  grads
-            # stays bound until the next _backward replaces it.  It lies above
-            # the tape on the heap, and freeing both lets glibc trim the heap,
-            # so the next step faults its pages back in (2 epochs on 378 flows
-            # at 64 px: about 200k minor faults against 22-43k).  A higher
-            # malloc trim threshold also avoids that, but allocator settings
-            # belong to the program that runs this, not to the package
-            del cache
+            del cache, xb  # one tape per step: free it before the next forward
             step += 1
             b1c = 1.0 - ADAM_BETA1 ** step
             b2c = 1.0 - ADAM_BETA2 ** step
             for name, p in params.items():
+                p, g = p.reshape(-1), grads[name].reshape(-1)
+                m, v = m_state[name].reshape(-1), v_state[name].reshape(-1)
                 # m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g*g and
-                # p -= lr * (m/b1c) / (sqrt(v/b2c) + eps), in place, in this order
-                g, m, v = grads[name], m_state[name], v_state[name]
-                t1, t2 = (1 - ADAM_BETA1) * g, (1 - ADAM_BETA2) * g
-                m *= ADAM_BETA1
-                m += t1
-                t2 *= g
-                v *= ADAM_BETA2
-                v += t2
-                np.divide(m, b1c, out=t1)
-                t1 *= config.learning_rate
-                np.sqrt(np.divide(v, b2c, out=t2), out=t2)
-                t2 += ADAM_EPSILON
-                t1 /= t2
-                p -= t1
+                # p -= lr * (m/b1c) / (sqrt(v/b2c) + eps), in place, in this
+                # order, one chunk at a time so that t1 and t2 stay in cache
+                for lo in range(0, p.size, ADAM_CHUNK):
+                    hi = lo + ADAM_CHUNK
+                    gc, mc, vc = g[lo:hi], m[lo:hi], v[lo:hi]
+                    t1, t2 = chunk1[:gc.size], chunk2[:gc.size]
+                    np.multiply(1 - ADAM_BETA1, gc, out=t1)
+                    np.multiply(1 - ADAM_BETA2, gc, out=t2)
+                    mc *= ADAM_BETA1
+                    mc += t1
+                    t2 *= gc
+                    vc *= ADAM_BETA2
+                    vc += t2
+                    np.divide(mc, b1c, out=t1)
+                    t1 *= config.learning_rate
+                    np.sqrt(np.divide(vc, b2c, out=t2), out=t2)
+                    t2 += ADAM_EPSILON
+                    t1 /= t2
+                    p[lo:hi] -= t1
         log.append(EpochStats(epoch=epoch, mean_total=tot_sum / n,
                               mean_recon=rec_sum / n, mean_kl=kl_sum / n))
 
@@ -264,7 +283,11 @@ def gradient_check(weights: VaeWeights, sample, n_params: int = 120,
 
 
 def split_calibration(dataset, fraction: float, seed: int):
-    """Seeded shuffle then split into (train_part, calibration_part)."""
+    """Seeded shuffle then split into (train_part, calibration_part).
+
+    ``fraction`` is checked before ``dataset`` is read, so a lazy iterable
+    is not consumed when the fraction is bad.
+    """
     if not 0.0 < fraction < 1.0:
         raise ValueError("fraction must be in (0, 1)")
     items = list(dataset)

@@ -172,19 +172,21 @@ def encoder(tensors: dict[str, np.ndarray], x: np.ndarray,
     """The encoder network on (N, C, S, S) inputs, in the dtype of ``tensors``.
 
     Returns (mu, raw logvar, last-conv volume); callers clamp logvar.  With
-    a ``tape``, each conv layer appends (im2col columns, ReLU mask), the
-    mask being the boolean ``pre-activation > 0``, for the backward pass.
-    Each ReLU writes over its pre-activation.  Without a tape, every row's
-    outputs are bit for bit those of the row encoded alone.
+    a ``tape``, each conv layer appends (its input, ReLU mask), the mask
+    being the boolean ``pre-activation > 0``, for the backward pass, which
+    rebuilds the layer's im2col columns from that input: the columns of a
+    4x4 stride-2 conv are four times its input.  Each ReLU writes over its
+    pre-activation.  Without a tape, every row's outputs are bit for bit
+    those of the row encoded alone.
     """
     h = x
     for i in range(4):
         y, cols = nnops.conv2d(h, tensors[f"enc{i}_w"], tensors[f"enc{i}_b"],
                                STRIDE, PADDING)
+        del cols  # free them before the next im2col
         if tape is not None:
-            tape.append((cols, y > 0))
+            tape.append((h, y > 0))
         h = nnops.relu(y)
-        del y, cols  # without a tape, free them before the next im2col
     # C-contiguous, so that sums over the volume keep a fixed order
     h = np.ascontiguousarray(h)
     n = h.shape[0]

@@ -5,7 +5,9 @@
 Run it in two checkouts and diff the outputs: equal lines mean the two
 compute the same bits.  It covers the loss terms and all gradients of one
 forward and backward pass at 32 px (N=7) and 64 px (N=32), a 2-epoch
-training run's final weights and CSV log, ``score_batch``'s mu, logvar
+training run's final weights and CSV log, a digest of the same run's
+weights when its float64 flows are passed as float32, which ``train``
+converts batch by batch, ``score_batch``'s mu, logvar
 and activations (labelled ``encode_batch``), ``activation_stats`` and the
 calibration scores on 11 held-out flows and again on 94 (one full
 ``STATS_CHUNK`` block and a partial one, and not a multiple of
@@ -67,6 +69,13 @@ def _training(size: int, seed: int) -> None:
     weights, log = trainer.train(flows[:48], trainer.TrainConfig(epochs=2, seed=seed), arch)
     for name in sorted(weights.tensors):
         print(f"train{size} weight.{name} {_sha(weights.tensors[name])}")
+    # the same run from the float32 flows vae.preprocess gives, converted to
+    # float64 batch by batch inside train: one digest over every weight
+    weights32, _ = trainer.train([f.astype(np.float32) for f in flows[:48]],
+                                 trainer.TrainConfig(epochs=2, seed=seed), arch)
+    digest = hashlib.sha256("".join(_sha(weights32.tensors[name])
+                                    for name in sorted(weights32.tensors)).encode())
+    print(f"train{size} weights_from_float32 {digest.hexdigest()}")
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "log.csv"
         trainer.write_training_log(path, log)

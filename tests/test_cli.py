@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oodflow import cli, gridio
+from oodflow import cli, gridio, harness
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -240,6 +240,24 @@ def test_train_and_calibrate_reject_corpus_without_id_flows(pipeline, tmp_path, 
         capsys.readouterr()
         assert cli.main(argv + ["--corpus", str(corpus), "--seed", "3"]) == cli.EXIT_VALIDATION
         assert "corpus contains no ID flow pairs" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.*"))
+
+
+@pytest.mark.parametrize("command", ["train", "calibrate"])
+def test_bad_fraction_fails_before_any_flow_is_solved(pipeline, tmp_path, capsys,
+                                                     monkeypatch, command):
+    def no_flows(*args, **kwargs):
+        raise AssertionError("flows solved before --fraction was checked")
+
+    monkeypatch.setattr(harness, "corpus_flow_dataset", no_flows)
+    argv = {"train": ["train", "--out", str(tmp_path / "w.bin"), "--epochs", "1",
+                      "--input-size", "32"],
+            "calibrate": ["calibrate", "--weights", str(pipeline["weights"]),
+                          "--out", str(tmp_path / "cal.json")]}[command]
+    rc = cli.main(argv + ["--corpus", str(pipeline["corpus"]), "--seed", "3",
+                          "--fraction", "1.5"])
+    assert rc == cli.EXIT_VALIDATION
+    assert "fraction must be in (0, 1)" in capsys.readouterr().err
     assert not list(tmp_path.glob("*.*"))
 
 

@@ -132,20 +132,27 @@ def test_train_rejects_wrong_and_mixed_shapes(tiny_arch):
 
 
 def test_train_converts_items_to_float64_exactly(tiny_arch):
+    # each batch is converted as it is gathered: a list of float32 flows
+    # trains to the bits of the same flows as one float64 array or as a
+    # list of float64 arrays
     data = _flow_dataset(tiny_arch, 6)
     cfg = TrainConfig(epochs=2, seed=5, batch_size=4)
     w1, log1 = trainer.train(data, cfg, tiny_arch)
-    w2, log2 = trainer.train(np.stack(data).astype(np.float64), cfg, tiny_arch)
-    assert log1 == log2
-    for name in w1.tensors:
-        assert np.array_equal(w1.tensors[name], w2.tensors[name])
+    for as_float64 in (np.stack(data).astype(np.float64),
+                       [d.astype(np.float64) for d in data]):
+        w2, log2 = trainer.train(as_float64, cfg, tiny_arch)
+        assert log1 == log2
+        for name in w1.tensors:
+            assert np.array_equal(w1.tensors[name], w2.tensors[name])
 
 
 def test_train_peak_memory_holds_one_slim_tape():
     # one epoch at 64 px, batch 32: three steps.  Keeping the previous
     # step's tape alive through the next forward, with float64
-    # pre-activations, peaked at 300 MiB; one tape of im2col columns and
-    # ReLU masks per step peaks at about 190 MiB
+    # pre-activations, peaked at 300 MiB; a tape of im2col columns and ReLU
+    # masks per step at about 190 MiB.  A tape of conv inputs and masks,
+    # with each layer's columns rebuilt in the backward pass and no float64
+    # copy of the data set, peaks at about 121 MiB
     arch = VaeArchitecture(input_size=64)
     data = _flow_dataset(arch, 96, seed=4)
     tracemalloc.start()
@@ -154,7 +161,7 @@ def test_train_peak_memory_holds_one_slim_tape():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 250 * 2 ** 20
+    assert peak < 160 * 2 ** 20
 
 
 def test_train_aborts_on_divergence(tiny_arch):
@@ -272,6 +279,17 @@ def test_tape_holds_masks_and_backward_empties_it(tiny_arch):
     enc_tape, dec_tape = cache["enc_tape"], cache["dec_tape"]
     assert len(enc_tape) == 4 and len(dec_tape) == 5
     assert all(mask.dtype == bool for _, mask in enc_tape + dec_tape[:4])
+    # each encoder entry holds its conv's 4-D input, not im2col columns:
+    # the data for enc0, then each layer's ReLU output, which is positive
+    # exactly where the layer below's mask is set
+    assert enc_tape[0][0] is x
+    chans = (vae.INPUT_CHANNELS,) + tiny_arch.conv_channels
+    for i, (inp, mask) in enumerate(enc_tape):
+        size = tiny_arch.input_size >> i
+        assert inp.shape == (2, chans[i], size, size)
+        assert mask.shape == (2, chans[i + 1], size // 2, size // 2)
+        if i > 0:
+            assert np.array_equal(inp > 0, enc_tape[i - 1][1])
     assert dec_tape[4][1] is None  # tdec3's output is the reconstruction
     trainer._backward(params, cache, 1.0)
     assert enc_tape == [] and dec_tape == []
