@@ -20,8 +20,7 @@ from .localization import ActivationStats, activation_stats, overlay, render
 from .opticflow import FlowParams, lucas_kanade
 from .synthdata import (AnomalySpec, Episode, SceneConfig, gen_benchmark,
                         gen_id_episode, gen_ood_episode, gen_texture)
-from .trainer import (TrainConfig, build_calibration, gradient_check,
-                      split_calibration, train)
+from .trainer import TrainConfig, build_calibration, split_calibration, train
 from .vae import (EncodeOutput, LatentPosterior, NumericError,
                   VaeArchitecture, VaeWeights, encode, init_weights, kl_score,
                   load_weights, preprocess, save_weights, score_batch)

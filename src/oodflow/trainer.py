@@ -2,9 +2,11 @@
 
 The objective per sample is the sum-of-squares reconstruction error plus
 beta_kl times the posterior KL from the standard-normal prior; batches are
-averaged.  Everything is computed in float64 from a single seeded generator
-(init draws, epoch shuffles, reparameterization noise), so a (dataset,
-config) pair fixes the resulting weights bit-exactly.
+averaged.  The forward and backward passes, the parameters and Adam's
+moments are all float32, the dtype that weights files store and inference
+runs in.  A single seeded generator draws everything (init, epoch shuffles,
+reparameterization noise), so a (dataset, config) pair fixes the resulting
+weights bit-exactly.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from .vae import NumericError, VaeArchitecture, VaeWeights, kl_score  # noqa: F4
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPSILON = 1e-8
-# elements per Adam chunk: 256 KiB per float64 temporary
+# elements per Adam chunk: 128 KiB per float32 temporary
 ADAM_CHUNK = 32 * 1024
 
 
@@ -54,7 +56,7 @@ class EpochStats:
 
 
 # ---------------------------------------------------------------------------
-# Loss and gradients through the shared network (float64)
+# Loss and gradients through the shared network (in the parameters' dtype)
 # ---------------------------------------------------------------------------
 
 def _forward(params: dict[str, np.ndarray], arch: VaeArchitecture,
@@ -137,7 +139,7 @@ def _backward(params: dict[str, np.ndarray], cache: dict,
 
 def train(dataset, config: TrainConfig, arch: VaeArchitecture,
           max_flow: float = vae.DEFAULT_MAX_FLOW):
-    """Adam-optimize the VAE on preprocessed flow grids.
+    """Adam-optimize the VAE on preprocessed flow grids, in float32.
 
     Returns (VaeWeights, per-epoch EpochStats list).  With epochs == 0 the
     seeded initial weights are returned untouched.  Raises NumericError if a
@@ -152,11 +154,11 @@ def train(dataset, config: TrainConfig, arch: VaeArchitecture,
             raise ValueError(f"dataset items must have shape {expected}, got {d.shape}")
 
     rng = np.random.default_rng(config.seed)
-    params = vae.init_params(arch, rng)
+    params = {k: v.astype(np.float32) for k, v in vae.init_params(arch, rng).items()}
     m_state = {k: np.zeros_like(v) for k, v in params.items()}
     v_state = {k: np.zeros_like(v) for k, v in params.items()}
     # Adam's two temporaries, for one chunk of a tensor at a time
-    chunk1, chunk2 = np.empty(ADAM_CHUNK), np.empty(ADAM_CHUNK)
+    chunk1, chunk2 = np.empty(ADAM_CHUNK, np.float32), np.empty(ADAM_CHUNK, np.float32)
     step = 0
     n = len(items)
     log: list[EpochStats] = []
@@ -167,20 +169,22 @@ def train(dataset, config: TrainConfig, arch: VaeArchitecture,
         tot_sum = rec_sum = kl_sum = 0.0
         for start in range(0, n, config.batch_size):
             batch_idx = perm[start:start + config.batch_size]
-            # each item is converted to float64 as it is copied in: exact
-            # for float32 flows, and no float64 copy of the data set is kept
-            xb = np.empty((len(batch_idx),) + expected)
+            # each item is copied into a float32 batch: vae.preprocess gives
+            # float32 flows, and no copy of the data set is kept
+            xb = np.empty((len(batch_idx),) + expected, np.float32)
             for row, i in enumerate(batch_idx):
                 xb[row] = items[i]
-            noise = rng.standard_normal((xb.shape[0], arch.latent_dim))
+            # drawn in float64 and rounded, so the stream of draws is the
+            # one a float64 run takes
+            noise = rng.standard_normal((xb.shape[0], arch.latent_dim)).astype(np.float32)
             total_per, recon_per, kl_per, cache = _forward(
                 params, arch, xb, noise, config.beta_kl)
             # free the previous step's gradients now, below this step's tape,
             # where _backward reuses their memory.  Freed with the tape, they
             # let glibc trim the heap and each step faults it back in (about
             # 92k against 9-21k minor faults over 2 epochs of 378 flows at
-            # 64 px); freed when _backward returns, they add about 10 MB to
-            # peak RSS
+            # 64 px, in float64); freed when _backward returns, they added
+            # about 10 MB to peak RSS
             grads = None
             loss = float(total_per.mean())
             if not np.isfinite(loss):
@@ -222,8 +226,7 @@ def train(dataset, config: TrainConfig, arch: VaeArchitecture,
         log.append(EpochStats(epoch=epoch, mean_total=tot_sum / n,
                               mean_recon=rec_sum / n, mean_kl=kl_sum / n))
 
-    tensors = {k: v.astype(np.float32) for k, v in params.items()}
-    return VaeWeights(arch=arch, max_flow=max_flow, tensors=tensors), log
+    return VaeWeights(arch=arch, max_flow=max_flow, tensors=params), log
 
 
 def write_training_log(path, log: list[EpochStats]) -> None:
@@ -235,52 +238,8 @@ def write_training_log(path, log: list[EpochStats]) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Verification and calibration
+# Calibration
 # ---------------------------------------------------------------------------
-
-def gradient_check(weights: VaeWeights, sample, n_params: int = 120,
-                   seed: int = 0, beta_kl: float = 1.0,
-                   indices: list[tuple[str, int]] | None = None) -> float:
-    """Compare analytic gradients against central finite differences.
-
-    Runs in float64 with reparameterization noise fixed to zero; perturbation
-    h = 1e-5 * max(1, |w|).  Returns the maximum relative error over the
-    checked parameters (random unless ``indices`` names them explicitly).
-    """
-    arch = weights.arch
-    params = {k: v.astype(np.float64) for k, v in weights.tensors.items()}
-    x = np.asarray(sample, dtype=np.float64)[np.newaxis]
-    noise = np.zeros((1, arch.latent_dim))
-
-    _, _, _, cache = _forward(params, arch, x, noise, beta_kl)
-    grads = _backward(params, cache, beta_kl)
-
-    if indices is None:
-        names = list(params)
-        sizes = np.array([params[k].size for k in names])
-        offsets = np.concatenate([[0], np.cumsum(sizes)])
-        rng = np.random.default_rng(seed)
-        chosen = rng.choice(offsets[-1], size=min(n_params, offsets[-1]), replace=False)
-        indices = []
-        for flat in np.sort(chosen):
-            t = int(np.searchsorted(offsets, flat, side="right")) - 1
-            indices.append((names[t], int(flat - offsets[t])))
-
-    worst = 0.0
-    for name, idx in indices:
-        w0 = params[name].flat[idx]
-        h = 1e-5 * max(1.0, abs(w0))
-        params[name].flat[idx] = w0 + h
-        loss_p = _forward(params, arch, x, noise, beta_kl)[0].mean()
-        params[name].flat[idx] = w0 - h
-        loss_m = _forward(params, arch, x, noise, beta_kl)[0].mean()
-        params[name].flat[idx] = w0
-        numeric = (loss_p - loss_m) / (2.0 * h)
-        analytic = grads[name].flat[idx]
-        rel = abs(analytic - numeric) / max(abs(analytic), abs(numeric), 1e-8)
-        worst = max(worst, rel)
-    return worst
-
 
 def split_calibration(dataset, fraction: float, seed: int):
     """Seeded shuffle then split into (train_part, calibration_part).

@@ -3,8 +3,9 @@
 The encoder maps a 2-channel flow field through four stride-2 convolutions
 (ReLU) to a diagonal-Gaussian latent posterior; the decoder mirrors it with
 transposed convolutions.  :func:`encoder` and :func:`decoder` define them
-once for any float dtype: inference runs the encoder in float32, training
-runs both in float64.  The nonconformity score of an input is the KL
+once for any float dtype: inference runs the encoder in float32 and
+training runs both in float32 (the gradient check of the tests runs them in
+float64).  The nonconformity score of an input is the KL
 divergence of its posterior from the standard-normal prior, summed over
 latent dimensions: small for motion resembling the training data, large for
 out-of-distribution motion.

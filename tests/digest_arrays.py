@@ -4,10 +4,12 @@
 
 Run it in two checkouts and diff the outputs: equal lines mean the two
 compute the same bits.  It covers the loss terms and all gradients of one
-forward and backward pass at 32 px (N=7) and 64 px (N=32), a 2-epoch
-training run's final weights and CSV log, a digest of the same run's
-weights when its float64 flows are passed as float32, which ``train``
-converts batch by batch, ``score_batch``'s mu, logvar
+forward and backward pass at 32 px (N=7) and 64 px (N=32), in float64 (as
+the gradient check runs the network) and again from float32 copies of the
+same parameters, flows and noise (as ``train`` runs it), a 2-epoch
+training run's final weights and CSV log from float32 flows, a digest of
+the same run's weights when its flows are passed as float64, which
+``train`` copies into float32 batch by batch, ``score_batch``'s mu, logvar
 and activations (labelled ``encode_batch``), ``activation_stats`` and the
 calibration scores on 11 held-out flows and again on 94 (one full
 ``STATS_CHUNK`` block and a partial one, and not a multiple of
@@ -42,25 +44,29 @@ def _sha(arr) -> str:
 
 
 def _flows(size: int, count: int, seed: int) -> np.ndarray:
+    """The first ``count`` float32 flows of a seeded ID episode, preprocessed."""
     arch = vae.VaeArchitecture(input_size=size)
     ep = synthdata.gen_id_episode(synthdata.SceneConfig(size=size, seed=seed))
     flows = [vae.preprocess(opticflow.lucas_kanade(a, b), arch)
              for a, b in zip(ep.frames, ep.frames[1:])]
-    return np.stack(flows[:count]).astype(np.float64)
+    return np.stack(flows[:count])
 
 
 def _step(tag: str, size: int, n: int, seed: int) -> None:
     arch = vae.VaeArchitecture(input_size=size)
     rng = np.random.default_rng(seed)
     params = vae.init_params(arch, rng)
-    x = _flows(size, n, seed)
+    x = _flows(size, n, seed).astype(np.float64)
     noise = rng.standard_normal((n, arch.latent_dim))
-    total, recon, kl, cache = trainer._forward(params, arch, x, noise, 1.0)
-    grads = trainer._backward(params, cache, 1.0)
-    for name, arr in (("total", total), ("recon", recon), ("kl", kl)):
-        print(f"{tag} loss.{name} {_sha(arr)}")
-    for name in sorted(grads):
-        print(f"{tag} grad.{name} {_sha(grads[name])}")
+    for dtag, dtype in ((tag, np.float64), (f"{tag}_float32", np.float32)):
+        typed = {k: v.astype(dtype) for k, v in params.items()}
+        total, recon, kl, cache = trainer._forward(typed, arch, x.astype(dtype),
+                                                   noise.astype(dtype), 1.0)
+        grads = trainer._backward(typed, cache, 1.0)
+        for name, arr in (("total", total), ("recon", recon), ("kl", kl)):
+            print(f"{dtag} loss.{name} {_sha(arr)}")
+        for name in sorted(grads):
+            print(f"{dtag} grad.{name} {_sha(grads[name])}")
 
 
 def _training(size: int, seed: int) -> None:
@@ -69,13 +75,13 @@ def _training(size: int, seed: int) -> None:
     weights, log = trainer.train(flows[:48], trainer.TrainConfig(epochs=2, seed=seed), arch)
     for name in sorted(weights.tensors):
         print(f"train{size} weight.{name} {_sha(weights.tensors[name])}")
-    # the same run from the float32 flows vae.preprocess gives, converted to
-    # float64 batch by batch inside train: one digest over every weight
-    weights32, _ = trainer.train([f.astype(np.float32) for f in flows[:48]],
+    # the same run from the flows as float64, copied into float32 batch by
+    # batch inside train: one digest over every weight
+    weights64, _ = trainer.train([f.astype(np.float64) for f in flows[:48]],
                                  trainer.TrainConfig(epochs=2, seed=seed), arch)
-    digest = hashlib.sha256("".join(_sha(weights32.tensors[name])
-                                    for name in sorted(weights32.tensors)).encode())
-    print(f"train{size} weights_from_float32 {digest.hexdigest()}")
+    digest = hashlib.sha256("".join(_sha(weights64.tensors[name])
+                                    for name in sorted(weights64.tensors)).encode())
+    print(f"train{size} weights_from_float64 {digest.hexdigest()}")
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "log.csv"
         trainer.write_training_log(path, log)

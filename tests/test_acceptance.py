@@ -17,6 +17,7 @@ from oodflow import (cli, conformal, harness, localization, opticflow,
                      synthdata, trainer, vae)
 from oodflow.conformal import CalibrationSet
 
+from gradcheck import gradient_check
 from naive_ref import log_mix_trapezoid, mixture_mean_tail
 
 
@@ -206,9 +207,8 @@ def test_c06_backprop_gradient_check():
     weights = vae.init_weights(arch, 2024)
     rng = np.random.default_rng(5)
     sample = rng.uniform(-0.5, 0.5, size=(2, 16, 16)).astype(np.float32)
-    err_full = trainer.gradient_check(weights, sample, n_params=120, seed=0)
-    err_recon = trainer.gradient_check(weights, sample, n_params=120, seed=1,
-                                       beta_kl=0.0)
+    err_full = gradient_check(weights, sample, n_params=120, seed=0)
+    err_recon = gradient_check(weights, sample, n_params=120, seed=1, beta_kl=0.0)
     ok = err_full < 1e-3 and err_recon < 1e-3
     assert report("6 (backprop vs finite differences)", ok,
                   f"max relative error {err_full:.2e} (full), "

@@ -8,6 +8,7 @@ from oodflow.conformal import CalibrationSet
 from oodflow.trainer import TrainConfig
 from oodflow.vae import NumericError, VaeArchitecture
 
+from gradcheck import gradient_check
 from naive_ref import gemm_col2im_transpose, naive_decode, naive_encode
 
 
@@ -131,28 +132,75 @@ def test_train_rejects_wrong_and_mixed_shapes(tiny_arch):
         trainer.train(data + [data[0][:, :8]], TrainConfig(epochs=1), tiny_arch)
 
 
-def test_train_converts_items_to_float64_exactly(tiny_arch):
-    # each batch is converted as it is gathered: a list of float32 flows
-    # trains to the bits of the same flows as one float64 array or as a
-    # list of float64 arrays
+def test_train_converts_items_to_float32_exactly(tiny_arch):
+    # each batch is copied into float32 as it is gathered: a list of float32
+    # flows trains to the bits of the same flows as one stacked float32
+    # array, as one float64 array or as a list of float64 arrays
     data = _flow_dataset(tiny_arch, 6)
     cfg = TrainConfig(epochs=2, seed=5, batch_size=4)
     w1, log1 = trainer.train(data, cfg, tiny_arch)
-    for as_float64 in (np.stack(data).astype(np.float64),
-                       [d.astype(np.float64) for d in data]):
-        w2, log2 = trainer.train(as_float64, cfg, tiny_arch)
+    for same in (np.stack(data), np.stack(data).astype(np.float64),
+                 [d.astype(np.float64) for d in data]):
+        w2, log2 = trainer.train(same, cfg, tiny_arch)
         assert log1 == log2
         for name in w1.tensors:
             assert np.array_equal(w1.tensors[name], w2.tensors[name])
 
 
+def test_train_returns_its_float32_parameters(tiny_arch, monkeypatch):
+    # every step runs on float32 parameters, and train returns those
+    # parameters as they stand after the last update: no cast on the way out
+    seen = []
+    forward = trainer._forward
+
+    def spy(params, *args):
+        seen.append(params)
+        return forward(params, *args)
+
+    monkeypatch.setattr(trainer, "_forward", spy)
+    data = _flow_dataset(tiny_arch, 6)
+    weights, _ = trainer.train(data, TrainConfig(epochs=2, seed=5, batch_size=4),
+                               tiny_arch)
+    assert len(seen) == 4 and all(p is seen[0] for p in seen)
+    for name, tensor in weights.tensors.items():
+        assert tensor.dtype == np.float32 and seen[0][name].dtype == np.float32
+        assert np.array_equal(tensor, seen[0][name]), name
+
+
+def test_float32_step_matches_float64_step():
+    # one 64 px, N=32 step on float32 parameters, batch and noise against
+    # the same values in float64: every gradient stays float32 and is within
+    # 1e-5 of its float64 counterpart, relative to the tensor's largest
+    arch = VaeArchitecture(input_size=64)
+    rng = np.random.default_rng(25)
+    p32 = {k: v.astype(np.float32) for k, v in vae.init_params(arch, rng).items()}
+    x32 = np.stack(_flow_dataset(arch, 32, seed=8))
+    n32 = rng.standard_normal((32, arch.latent_dim)).astype(np.float32)
+
+    def step(params, x, noise):
+        total, recon, kl, cache = trainer._forward(params, arch, x, noise, 1.0)
+        return (total, recon, kl), trainer._backward(params, cache, 1.0)
+
+    loss32, g32 = step(p32, x32, n32)
+    loss64, g64 = step({k: v.astype(np.float64) for k, v in p32.items()},
+                       x32.astype(np.float64), n32.astype(np.float64))
+    for got, want in zip(loss32, loss64):
+        assert got.dtype == np.float32
+        np.testing.assert_allclose(got, want, rtol=1e-5)
+    assert sorted(g32) == sorted(arch.tensor_shapes())
+    for name, g in g32.items():
+        assert g.dtype == np.float32, name
+        err = np.abs(g.astype(np.float64) - g64[name]).max() / np.abs(g64[name]).max()
+        assert err <= 1e-5, (name, err)
+
+
 def test_train_peak_memory_holds_one_slim_tape():
-    # one epoch at 64 px, batch 32: three steps.  Keeping the previous
-    # step's tape alive through the next forward, with float64
+    # one epoch at 64 px, batch 32: three steps.  In float64, keeping the
+    # previous step's tape alive through the next forward, with its
     # pre-activations, peaked at 300 MiB; a tape of im2col columns and ReLU
-    # masks per step at about 190 MiB.  A tape of conv inputs and masks,
-    # with each layer's columns rebuilt in the backward pass and no float64
-    # copy of the data set, peaks at about 121 MiB
+    # masks per step at about 190 MiB; a tape of conv inputs and masks, with
+    # each layer's columns rebuilt in the backward pass, at about 121 MiB.
+    # The same tape in float32 peaks at about 62 MiB
     arch = VaeArchitecture(input_size=64)
     data = _flow_dataset(arch, 96, seed=4)
     tracemalloc.start()
@@ -161,7 +209,7 @@ def test_train_peak_memory_holds_one_slim_tape():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 160 * 2 ** 20
+    assert peak < 80 * 2 ** 20
 
 
 def test_train_aborts_on_divergence(tiny_arch):
@@ -194,21 +242,20 @@ def test_training_log_csv(tmp_path, tiny_arch):
 
 
 # ---------------------------------------------------------------------------
-# gradient_check
+# gradient_check (tests/gradcheck.py)
 # ---------------------------------------------------------------------------
 
 def test_gradient_check_full_objective(tiny_arch):
     weights = vae.init_weights(tiny_arch, 21)
     sample = _flow_dataset(tiny_arch, 1, seed=4)[0]
-    err = trainer.gradient_check(weights, sample, n_params=120, seed=0)
+    err = gradient_check(weights, sample, n_params=120, seed=0)
     assert err < 1e-3
 
 
 def test_gradient_check_recon_only(tiny_arch):
     weights = vae.init_weights(tiny_arch, 22)
     sample = _flow_dataset(tiny_arch, 1, seed=5)[0]
-    err = trainer.gradient_check(weights, sample, n_params=120, seed=1,
-                                 beta_kl=0.0)
+    err = gradient_check(weights, sample, n_params=120, seed=1, beta_kl=0.0)
     assert err < 1e-3
 
 
@@ -243,8 +290,8 @@ def test_linear_layer_gradients_near_exact():
 def test_gradient_check_explicit_indices(tiny_arch):
     weights = vae.init_weights(tiny_arch, 23)
     sample = _flow_dataset(tiny_arch, 1, seed=6)[0]
-    err = trainer.gradient_check(weights, sample,
-                                 indices=[("mu_w", 0), ("dec_b", 3), ("enc0_w", 10)])
+    err = gradient_check(weights, sample,
+                         indices=[("mu_w", 0), ("dec_b", 3), ("enc0_w", 10)])
     assert err < 1e-3
 
 
