@@ -192,8 +192,13 @@ def step(state: DetectorState, alpha: float, cal: CalibrationSet,
     return new_state, event
 
 
-def _replay(log_ms, cfg: DetectorConfig, episode_id: str, start_frame: int):
-    """Yield (exceed_count, event or None) for each log M of a trace in turn."""
+def replay(log_ms, cfg: DetectorConfig, episode_id: str, start_frame: int):
+    """Replay the exceedance rule over a precomputed log-martingale trace.
+
+    Yields (exceed_count, event or None) for each log M in turn, the frames
+    numbered from ``start_frame``.  The trace itself does not depend on the
+    threshold, so grid searches can reuse one trace across thresholds.
+    """
     run = (0, None, float("-inf"))
     for offset, lm in enumerate(log_ms):
         run, event = _advance_run(run, lm, start_frame + offset, cfg, episode_id)
@@ -202,12 +207,8 @@ def _replay(log_ms, cfg: DetectorConfig, episode_id: str, start_frame: int):
 
 def events_from_curve(log_ms, cfg: DetectorConfig, episode_id: str = "",
                       start_frame: int = 0) -> list[DetectionEvent]:
-    """Replay the exceedance rule over a precomputed log-martingale trace.
-
-    The trace itself does not depend on the threshold, so grid searches can
-    reuse one trace across thresholds.
-    """
-    return [event for _, event in _replay(log_ms, cfg, episode_id, start_frame)
+    """The events of :func:`replay` over a precomputed log-martingale trace."""
+    return [event for _, event in replay(log_ms, cfg, episode_id, start_frame)
             if event is not None]
 
 

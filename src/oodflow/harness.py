@@ -285,8 +285,8 @@ def rescore_records(records: list[EpisodeRecord], cfg: conformal.DetectorConfig)
     for r in records:
         events, curve = [], []
         if r.curve:
-            runs = conformal._replay([pt.log_m for pt in r.curve], cfg,
-                                     r.episode_id, r.curve[0].frame)
+            runs = conformal.replay([pt.log_m for pt in r.curve], cfg,
+                                    r.episode_id, r.curve[0].frame)
             for pt, (count, event) in zip(r.curve, runs):
                 # points are frozen, so an unchanged one is shared
                 curve.append(pt if pt.exceed_count == count

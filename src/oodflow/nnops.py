@@ -76,8 +76,8 @@ def conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray, stride: int,
            pad: int) -> tuple[np.ndarray, np.ndarray]:
     """Strided convolution; weight layout (out_c, in_c, k, k).
 
-    Returns the output and its im2col columns, the input conv2d_backward
-    takes.  The bias is added in place on the gemm's output.
+    Returns (output, im2col columns): callers drop the columns, and
+    perfbench's tracer reads ``result[0]``.  The bias is added in place.
     """
     n, _, h, width = x.shape
     oc, _, k, _ = w.shape
@@ -89,12 +89,15 @@ def conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray, stride: int,
     return y.reshape(oc, n, out_h, out_w).transpose(1, 0, 2, 3), cols
 
 
-def conv2d_backward(dy: np.ndarray, cols: np.ndarray, w: np.ndarray):
-    """Gradients of conv2d w.r.t. weight and bias, from its input's im2col columns."""
-    n, oc = dy.shape[:2]
+def conv2d_backward(dy: np.ndarray, x: np.ndarray, w: np.ndarray, stride: int,
+                    pad: int):
+    """Gradients of conv2d w.r.t. weight and bias, from the conv's input ``x``."""
+    n, oc, k = dy.shape[0], w.shape[0], w.shape[2]
     # numpy sums in an order set by the memory layout: a C-contiguous copy
-    # keeps the bias gradient independent of the layout dy arrives in
+    # keeps the bias gradient independent of the layout dy arrives in.  It
+    # is freed before the columns are built
     db = np.ascontiguousarray(dy).reshape(n, oc, -1).sum(axis=(0, 2))
+    cols = im2col(x, k, stride, pad)
     dy_flat = dy.transpose(1, 0, 2, 3).reshape(oc, -1)
     dw = (dy_flat @ cols.T).reshape(w.shape)
     return dw, db
@@ -126,10 +129,10 @@ def conv_transpose2d_backward(dy: np.ndarray, x: np.ndarray, w: np.ndarray,
     """Gradients of conv_transpose2d w.r.t. input, weight, and bias."""
     n, ic, ih, iw = x.shape
     k = w.shape[2]
+    db = np.ascontiguousarray(dy).sum(axis=(0, 2, 3))  # see conv2d_backward
     gcols = im2col(dy, k, stride, pad)  # (OC*k*k, N*ih*iw)
     dx = (w.reshape(ic, -1) @ gcols).reshape(ic, n, ih, iw).transpose(1, 0, 2, 3)
     dw = (x.transpose(1, 0, 2, 3).reshape(ic, -1) @ gcols.T).reshape(w.shape)
-    db = np.ascontiguousarray(dy).sum(axis=(0, 2, 3))  # see conv2d_backward
     return dx, dw, db
 
 
@@ -153,8 +156,8 @@ def relu(x: np.ndarray) -> np.ndarray:
 def relu_backward(dy: np.ndarray, x: np.ndarray) -> np.ndarray:
     """dy where x > 0, else 0, written over ``dy``; returns ``dy``.
 
-    ``x`` may be the pre-activation, the ReLU's output or the boolean mask
-    ``pre > 0``: all three give the same bits.
+    ``x`` is the ReLU's output, or equally its pre-activation:
+    ``relu(pre) > 0`` holds exactly where ``pre > 0`` does.
     """
     return np.multiply(dy, x > 0, out=dy)
 

@@ -74,8 +74,7 @@ def _forward(params: dict[str, np.ndarray], arch: VaeArchitecture,
     kl_per = vae._kl(mu, logvar)
     total_per = recon_per + beta_kl * kl_per
 
-    cache = dict(enc_tape=enc_tape, dec_tape=dec_tape,
-                 flat=acts.reshape(acts.shape[0], -1), mu=mu,
+    cache = dict(enc_tape=enc_tape, dec_tape=dec_tape, acts=acts, mu=mu,
                  logvar_raw=logvar_raw, logvar=logvar, std=std, noise=noise,
                  diff=diff)
     return total_per, recon_per, kl_per, cache
@@ -88,24 +87,24 @@ def _backward(params: dict[str, np.ndarray], cache: dict,
     Empties the tapes in ``cache``: each entry is dropped once it is used.
     """
     s, p = vae.STRIDE, vae.PADDING
-    enc_tape, dec_tape = cache["enc_tape"], cache["dec_tape"]
-    n = cache["diff"].shape[0]
+    enc_tape, dec_tape, acts = cache["enc_tape"], cache["dec_tape"], cache["acts"]
+    n = acts.shape[0]
     grads: dict[str, np.ndarray] = {}
 
-    # dec_tape[0] is the dense layer, dec_tape[i + 1] transposed conv i.
-    # Layer i pops its own entry, whose mask layer i + 1 has used, and then
-    # reads the mask of the entry below it
+    # dec_tape[0] is z and dec_tape[i + 1] the input of transposed conv i,
+    # which is the output of the ReLU below it: its mask
     g = 2.0 * cache["diff"] / n
     for i in range(3, -1, -1):
-        dx, grads[f"tdec{i}_w"], grads[f"tdec{i}_b"] = nnops.conv_transpose2d_backward(
-            g, dec_tape.pop()[0], params[f"tdec{i}_w"], s, p)
-        mask = dec_tape[-1][1]
-        g = nnops.relu_backward(dx.reshape(mask.shape), mask)
-        # the reshape copies dx only into the dense layer: free it there
-        # before the next gemm, since the free order moves peak RSS
-        del dx
+        h = dec_tape.pop()
+        g, grads[f"tdec{i}_w"], grads[f"tdec{i}_b"] = nnops.conv_transpose2d_backward(
+            g, h, params[f"tdec{i}_w"], s, p)
+        g = nnops.relu_backward(g, h)
+    # the reshape copies g: free h and the 4-D g before the next gemm, since
+    # the free order moves peak RSS
+    del h
+    g = g.reshape(n, -1)
     dz, grads["dec_w"], grads["dec_b"] = nnops.linear_backward(
-        g, dec_tape.pop()[0], params["dec_w"])
+        g, dec_tape.pop(), params["dec_w"])
 
     mu, logvar, std, noise = cache["mu"], cache["logvar"], cache["std"], cache["noise"]
     dmu = dz + (beta_kl / n) * mu
@@ -113,21 +112,21 @@ def _backward(params: dict[str, np.ndarray], cache: dict,
     clamp_open = (cache["logvar_raw"] > vae.LOGVAR_MIN) & (cache["logvar_raw"] < vae.LOGVAR_MAX)
     dlogvar_raw = dlogvar * clamp_open
 
+    flat = acts.reshape(n, -1)
     dflat_mu, grads["mu_w"], grads["mu_b"] = nnops.linear_backward(
-        dmu, cache["flat"], params["mu_w"])
+        dmu, flat, params["mu_w"])
     dflat_lv, grads["logvar_w"], grads["logvar_b"] = nnops.linear_backward(
-        dlogvar_raw, cache["flat"], params["logvar_w"])
-    g = (dflat_mu + dflat_lv).reshape(enc_tape[-1][1].shape)
+        dlogvar_raw, flat, params["logvar_w"])
+    g = (dflat_mu + dflat_lv).reshape(acts.shape)
 
-    # each layer's columns are rebuilt from its taped input, used for its
-    # weight gradient and dropped: one layer's columns live at a time
+    # conv i's ReLU output, its mask, is conv i + 1's input (acts for enc3).
+    # conv2d_backward builds conv i's columns from its input, one at a time
+    out = acts
     for i in range(3, -1, -1):
-        x, mask = enc_tape.pop()
-        g = nnops.relu_backward(g, mask)
-        cols = nnops.im2col(x, vae.KERNEL, s, p)
+        g = nnops.relu_backward(g, out)
+        out = enc_tape.pop()
         grads[f"enc{i}_w"], grads[f"enc{i}_b"] = nnops.conv2d_backward(
-            g, cols, params[f"enc{i}_w"])
-        del x, cols
+            g, out, params[f"enc{i}_w"], s, p)
         if i > 0:  # the input of enc0 is the data, which needs no gradient
             g = nnops.conv2d_input_grad(g, params[f"enc{i}_w"], s, p)
     return grads
@@ -145,6 +144,7 @@ def train(dataset, config: TrainConfig, arch: VaeArchitecture,
     seeded initial weights are returned untouched.  Raises NumericError if a
     batch loss goes non-finite.
     """
+    vae._check_max_flow(max_flow)  # VaeWeights would reject it only after training
     items = [np.asarray(d) for d in dataset]
     if not items:
         raise ValueError("dataset must be nonempty")
@@ -180,11 +180,10 @@ def train(dataset, config: TrainConfig, arch: VaeArchitecture,
             total_per, recon_per, kl_per, cache = _forward(
                 params, arch, xb, noise, config.beta_kl)
             # free the previous step's gradients now, below this step's tape,
-            # where _backward reuses their memory.  Freed with the tape, they
-            # let glibc trim the heap and each step faults it back in (about
-            # 92k against 9-21k minor faults over 2 epochs of 378 flows at
-            # 64 px, in float64); freed when _backward returns, they added
-            # about 10 MB to peak RSS
+            # where _backward reuses their memory.  Per 2-epoch call on 378
+            # flows at 64 px, freed with the tape they let glibc trim the heap
+            # (140k minor faults against 24k), and freed when _backward
+            # returns they added 2-7 MB to peak RSS
             grads = None
             loss = float(total_per.mean())
             if not np.isfinite(loss):

@@ -173,21 +173,19 @@ def encoder(tensors: dict[str, np.ndarray], x: np.ndarray,
     """The encoder network on (N, C, S, S) inputs, in the dtype of ``tensors``.
 
     Returns (mu, raw logvar, last-conv volume); callers clamp logvar.  With
-    a ``tape``, each conv layer appends (its input, ReLU mask), the mask
-    being the boolean ``pre-activation > 0``, for the backward pass, which
-    rebuilds the layer's im2col columns from that input: the columns of a
-    4x4 stride-2 conv are four times its input.  Each ReLU writes over its
-    pre-activation.  Without a tape, every row's outputs are bit for bit
-    those of the row encoded alone.
+    a ``tape``, each conv layer appends its input, from which the backward
+    pass rebuilds the layer's im2col columns (four times its size); a
+    layer's ReLU output, the next entry or the returned volume, gives its
+    mask.  Each ReLU writes over its pre-activation.  Without a tape, every
+    row's outputs are bit for bit those of the row encoded alone.
     """
     h = x
     for i in range(4):
-        y, cols = nnops.conv2d(h, tensors[f"enc{i}_w"], tensors[f"enc{i}_b"],
-                               STRIDE, PADDING)
-        del cols  # free them before the next im2col
         if tape is not None:
-            tape.append((h, y > 0))
-        h = nnops.relu(y)
+            tape.append(h)
+        # conv2d's columns are dropped here, before the next im2col
+        h = nnops.relu(nnops.conv2d(h, tensors[f"enc{i}_w"], tensors[f"enc{i}_b"],
+                                    STRIDE, PADDING)[0])
     # C-contiguous, so that sums over the volume keep a fixed order
     h = np.ascontiguousarray(h)
     n = h.shape[0]
@@ -205,21 +203,19 @@ def decoder(tensors: dict[str, np.ndarray], arch: VaeArchitecture,
             z: np.ndarray, tape: list) -> np.ndarray:
     """The decoder network on (N, m) latents; returns a C-contiguous (N, C, S, S).
 
-    For the backward pass, the dense layer appends (z, ReLU mask) to
-    ``tape``, each of the transposed convs tdec0-tdec2 appends (input, ReLU
-    mask), and tdec3, whose output is the reconstruction, appends (input,
-    None).  Each ReLU writes over its pre-activation.
+    For the backward pass, the dense layer and each transposed conv append
+    their input to ``tape``.  Every layer but tdec3, whose output is the
+    reconstruction, ends in a ReLU written over its pre-activation.
     """
-    pre = nnops.linear(z, tensors["dec_w"], tensors["dec_b"])
-    tape.append((z, pre > 0))
-    h = nnops.relu(pre).reshape(z.shape[0], arch.conv_channels[-1],
-                                arch.grid_size, arch.grid_size)
+    tape.append(z)
+    h = nnops.relu(nnops.linear(z, tensors["dec_w"], tensors["dec_b"])).reshape(
+        z.shape[0], arch.conv_channels[-1], arch.grid_size, arch.grid_size)
     for i in range(4):
-        y = nnops.conv_transpose2d(h, tensors[f"tdec{i}_w"], tensors[f"tdec{i}_b"],
+        tape.append(h)
+        h = nnops.conv_transpose2d(h, tensors[f"tdec{i}_w"], tensors[f"tdec{i}_b"],
                                    STRIDE, PADDING)
-        last = i == 3  # the reconstruction: no ReLU, so no mask
-        tape.append((h, None if last else y > 0))
-        h = y if last else nnops.relu(y)
+        if i < 3:
+            h = nnops.relu(h)
     return np.ascontiguousarray(h)
 
 

@@ -210,6 +210,21 @@ def test_events_from_curve_matches_step():
         [(e.onset_frame, e.peak_log_m) for e in step_events]
 
 
+def test_replay_matches_step_frame_by_frame():
+    # each frame's run length and event, as step gives them in the stream
+    rng = np.random.default_rng(34)
+    cal = CalibrationSet(scores=np.sort(rng.exponential(size=40)))
+    cfg = DetectorConfig(window=5, log_threshold=0.5, consecutive=3)
+    alphas = rng.exponential(size=100) * rng.choice([1.0, 8.0], size=100, p=[0.8, 0.2])
+    state, want, curve = DetectorState(frame_index=3), [], []
+    for a in alphas:
+        state, event = conformal.step(state, a, cal, cfg, "ep")
+        want.append((state.exceed_count, event))
+        curve.append(state.log_m)
+    assert any(event is not None for _, event in want)
+    assert list(conformal.replay(curve, cfg, "ep", 3)) == want
+
+
 def test_window_eviction():
     cal = CalibrationSet(scores=np.linspace(0, 1, 9))
     cfg = DetectorConfig(window=3)

@@ -117,7 +117,10 @@ def test_conv2d_backward_adjoint_and_fd():
     b = rng.normal(size=3)
     y, cols = nnops.conv2d(x, w, b, 2, 1)
     r = rng.normal(size=y.shape)  # loss = <y, r>
-    dw, db = nnops.conv2d_backward(r, cols, w)
+    dw, db = nnops.conv2d_backward(r, x, w, 2, 1)
+    # the weight gradient is the gemm of dy with the columns conv2d built
+    r_flat = r.transpose(1, 0, 2, 3).reshape(3, -1)
+    assert np.array_equal(dw, (r_flat @ cols.T).reshape(w.shape))
     dx = nnops.conv2d_input_grad(r, w, 2, 1)
     assert dx.shape == x.shape
     # adjoint identity for the input gradient

@@ -200,7 +200,8 @@ def test_train_peak_memory_holds_one_slim_tape():
     # pre-activations, peaked at 300 MiB; a tape of im2col columns and ReLU
     # masks per step at about 190 MiB; a tape of conv inputs and masks, with
     # each layer's columns rebuilt in the backward pass, at about 121 MiB.
-    # The same tape in float32 peaks at about 62 MiB
+    # The same tape in float32 peaked at about 62 MiB, and a float32 tape of
+    # layer inputs alone, with no masks, at about 57 MiB
     arch = VaeArchitecture(input_size=64)
     data = _flow_dataset(arch, 96, seed=4)
     tracemalloc.start()
@@ -209,7 +210,19 @@ def test_train_peak_memory_holds_one_slim_tape():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 80 * 2 ** 20
+    assert peak < 60 * 2 ** 20
+
+
+@pytest.mark.parametrize("max_flow", [-1.0, 0.0, np.nan], ids=["negative", "zero", "nan"])
+def test_train_checks_max_flow_before_training(tiny_arch, monkeypatch, max_flow):
+    # the weights would reject it, but only after every epoch had run
+    def forward(*args):
+        raise AssertionError("a training step ran")
+
+    monkeypatch.setattr(trainer, "_forward", forward)
+    with pytest.raises(ValueError, match="max_flow"):
+        trainer.train(_flow_dataset(tiny_arch, 4), TrainConfig(epochs=50, batch_size=4),
+                      tiny_arch, max_flow)
 
 
 def test_train_aborts_on_divergence(tiny_arch):
@@ -319,25 +332,48 @@ def test_backward_matches_gemm_col2im_oracle(monkeypatch):
         assert np.array_equal(got[name], want[name]), name
 
 
-def test_tape_holds_masks_and_backward_empties_it(tiny_arch):
+def test_tape_holds_layer_inputs_and_backward_empties_it(tiny_arch, monkeypatch):
+    # each entry is the very array its layer was given; each ReLU's mask,
+    # read off the next entry (the last-conv volume for enc3), is where a
+    # recomputed pre-activation is positive; the backward pass empties both
     params = vae.init_params(tiny_arch, 3)
     x = np.stack(_flow_dataset(tiny_arch, 2)).astype(np.float64)
-    cache = trainer._forward(params, tiny_arch, x, np.zeros((2, tiny_arch.latent_dim)), 1.0)[3]
+    noise = np.random.default_rng(4).standard_normal((2, tiny_arch.latent_dim))
+    given = []  # (weight, input) of every layer call
+
+    def spy(fn):
+        def layer(h, w, *args):
+            given.append((w, h))
+            return fn(h, w, *args)
+        return layer
+
+    for name in ("conv2d", "linear", "conv_transpose2d"):
+        monkeypatch.setattr(nnops, name, spy(getattr(nnops, name)))
+    cache = trainer._forward(params, tiny_arch, x, noise, 1.0)[3]
+    monkeypatch.undo()
+    inputs = {id(w): h for w, h in given}
     enc_tape, dec_tape = cache["enc_tape"], cache["dec_tape"]
     assert len(enc_tape) == 4 and len(dec_tape) == 5
-    assert all(mask.dtype == bool for _, mask in enc_tape + dec_tape[:4])
-    # each encoder entry holds its conv's 4-D input, not im2col columns:
-    # the data for enc0, then each layer's ReLU output, which is positive
-    # exactly where the layer below's mask is set
-    assert enc_tape[0][0] is x
-    chans = (vae.INPUT_CHANNELS,) + tiny_arch.conv_channels
-    for i, (inp, mask) in enumerate(enc_tape):
-        size = tiny_arch.input_size >> i
-        assert inp.shape == (2, chans[i], size, size)
-        assert mask.shape == (2, chans[i + 1], size // 2, size // 2)
-        if i > 0:
-            assert np.array_equal(inp > 0, enc_tape[i - 1][1])
-    assert dec_tape[4][1] is None  # tdec3's output is the reconstruction
+    assert enc_tape[0] is x
+    for i in range(4):
+        assert enc_tape[i] is inputs[id(params[f"enc{i}_w"])]
+        assert dec_tape[i + 1] is inputs[id(params[f"tdec{i}_w"])]
+    assert dec_tape[0] is inputs[id(params["dec_w"])]
+
+    s, p = vae.STRIDE, vae.PADDING
+    outs = enc_tape[1:] + [cache["acts"]]
+    for i in range(4):
+        pre = nnops.conv2d(enc_tape[i], params[f"enc{i}_w"], params[f"enc{i}_b"], s, p)[0]
+        assert np.array_equal(outs[i] > 0, pre > 0)
+    pre = nnops.linear(dec_tape[0], params["dec_w"], params["dec_b"])
+    assert np.array_equal(dec_tape[1] > 0, (pre > 0).reshape(dec_tape[1].shape))
+    for i in range(3):
+        pre = nnops.conv_transpose2d(dec_tape[i + 1], params[f"tdec{i}_w"],
+                                     params[f"tdec{i}_b"], s, p)
+        assert np.array_equal(dec_tape[i + 2] > 0, pre > 0)
+    # every mask has both signs, so the comparisons above can fail
+    for out in outs + dec_tape[1:]:
+        assert 0 < np.count_nonzero(out > 0) < out.size
     trainer._backward(params, cache, 1.0)
     assert enc_tape == [] and dec_tape == []
 

@@ -207,7 +207,7 @@ def test_reparameterize_examples(tiny_arch):
     noise = np.array([[0.0, 1.0, 1.0, 0.0, 2.0, -1.0]])
     x = np.zeros((1, 2, 16, 16))
     _, _, _, cache = trainer._forward(params, tiny_arch, x, noise, 1.0)
-    z = cache["dec_tape"][0][0]  # the dense layer's input
+    z = cache["dec_tape"][0]  # the dense layer's input
     np.testing.assert_allclose(z, [[1.0, -1.0, 2.0, 0.0, 4.0, -0.5]])
 
 
