@@ -16,7 +16,7 @@ import os
 import tempfile
 import time
 import warnings
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import asdict, dataclass, field, replace
 from functools import partial
 from pathlib import Path
@@ -110,14 +110,15 @@ def corpus_flow_dataset(manifests, flow_params: opticflow.FlowParams,
     """Preprocessed flow grids from every consecutive frame pair.
 
     Only ID-labeled episodes contribute, which is what both training and
-    calibration require.  Flows are solved vae.SCORE_CHUNK pairs at a time.
+    calibration require.  Flows are solved vae.SCORE_CHUNK pairs at a time,
+    and each grid is an array of its own, so a split keeps no other alive.
     """
     dataset: list[np.ndarray] = []
     for manifest in manifests:
         if manifest.label != gridio.LABEL_ID:
             continue
         for flows in conformal._flow_chunks(load_frames(manifest), flow_params):
-            dataset.extend(vae.preprocess(flows, arch, max_flow))
+            dataset.extend(row.copy() for row in vae.preprocess(flows, arch, max_flow))
     return dataset
 
 
@@ -177,10 +178,22 @@ _worker_weights: vae.VaeWeights | None = None  # in a worker: the weights it sco
 
 
 def _load_worker_weights(arch, max_flow, path) -> None:
-    """A worker's initializer: the caller's tensors, with every dtype and bit."""
+    """A worker's initializer: the caller's tensors, with every dtype and bit,
+    and a watch that deletes the file and exits once the caller is gone,
+    even ended by a signal that runs no exit handler."""
+    import threading
+    from multiprocessing import connection, parent_process
+
+    def exit_with_caller():  # the sentinel turns readable once the caller exits
+        connection.wait([parent_process().sentinel])
+        with suppress(FileNotFoundError):  # another worker deleted it first
+            os.remove(path)
+        os._exit(1)
+
     global _worker_weights
     with np.load(path) as saved:
         _worker_weights = vae.VaeWeights(arch, max_flow, {k: saved[k] for k in saved.files})
+    threading.Thread(target=exit_with_caller, daemon=True).start()
 
 
 def _score_in_worker(manifest, cal, cfg) -> EpisodeRecord:
@@ -208,7 +221,8 @@ def _executor(weights: vae.VaeWeights):
     """This process's pool for ``weights``: one spawned worker per usable core.
 
     Replaced after a fork, a dead worker or a change of weights.  The weights
-    cross once, as a private .npz file that each worker loads as it starts.
+    cross once, as a private .npz file that each worker loads as it starts;
+    the caller deletes it with the pool, or the workers once the caller is gone.
     """
     global _pool
     key = _weights_key(weights)

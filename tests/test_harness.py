@@ -2,9 +2,11 @@ import json
 import multiprocessing
 import os
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -75,6 +77,9 @@ def test_corpus_flow_dataset_ids_only(corpus32, trained32, flow_params):
                                         trained32["arch"])
     assert len(flows) == 3 * 59  # ID episodes only
     assert all(f.shape == (2, 32, 32) for f in flows)
+    # each flow owns its memory, not a view of a chunk: so a subset, such as
+    # a calibration split, keeps no other flow alive
+    assert all(f.base is None for f in flows)
 
 
 # ---------------------------------------------------------------------------
@@ -251,8 +256,9 @@ def test_workers_follow_changed_weights(corpus32, trained32, two_workers,
                                         tmp_path, monkeypatch):
     # the workers score with the caller's weights bit for bit: float64
     # tensors that float32 cannot hold and a max_flow float32 rounds both
-    # reach them unchanged.  Each change of weights replaces the pool and
-    # deletes the replaced pool's weights file, over an uneven split of 5.
+    # reach them unchanged.  Each change of weights starts a new pool, stops
+    # the replaced pool's workers and deletes its weights file, over an
+    # uneven split of 5.
     monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
     manifests = corpus32[1][:5]
     cal, cfg = trained32["cal"], trained32["detector"]
@@ -261,10 +267,15 @@ def test_workers_follow_changed_weights(corpus32, trained32, two_workers,
         k: v.astype(np.float64) * (1 + 2.0 ** -40) for k, v in trained.tensors.items()})
     assert float(np.float32(exact.max_flow)) != exact.max_flow
     fresh = vae.init_weights(trained32["arch"], 7)
-    handoffs = set()
+    executors, replaced, handoffs = [], [], set()
     for weights in (exact, trained, fresh, trained):
         _, records = harness.evaluate(manifests, weights, cal, cfg)
         assert repr(records) == repr(_loop_records(manifests, weights, cal, cfg))
+        assert not any(map(_alive, replaced))
+        assert all(harness._pool[-1] is not e for e in executors)
+        executors.append(harness._pool[-1])
+        replaced = [p.pid for p in multiprocessing.active_children()]
+        assert len(replaced) == 2
         files = list(tmp_path.iterdir())
         assert len(files) == 1 and files[0] not in handoffs
         handoffs.add(files[0])
@@ -311,6 +322,8 @@ def test_dead_worker_fails_the_call_and_the_next_call_rebuilds(
 
 _SCRIPT = """
 import multiprocessing
+import os
+import signal
 import sys
 
 from oodflow import conformal, harness, vae
@@ -323,7 +336,9 @@ def main(corpus):
     cal = conformal.CalibrationSet(scores=[0.5, 1.0])
     metrics, _ = harness.evaluate(manifests, weights, cal, conformal.DetectorConfig())
     print(*[p.pid for p in multiprocessing.active_children()])
-    print(metrics.tp + metrics.fp + metrics.tn + metrics.fn)
+    print(metrics.tp + metrics.fp + metrics.tn + metrics.fn, flush=True)
+    if "--terminate" in sys.argv:  # as `kill` ends it: no exit handler runs
+        os.kill(os.getpid(), signal.SIGTERM)
 
 
 if __name__ == "__main__":
@@ -360,13 +375,18 @@ if __name__ == "__main__":
 """
 
 
-def _python(*args, **env) -> subprocess.CompletedProcess:
-    """Run a Python process on this package, with ``env`` added to the environment."""
+def _python_env(**env) -> dict:
+    """This process's environment, with this package on the path and ``env`` added."""
     src = str(Path(harness.__file__).resolve().parent.parent)
     path = os.pathsep.join([src] + ([os.environ["PYTHONPATH"]]
                                     if os.environ.get("PYTHONPATH") else []))
+    return {**os.environ, "PYTHONPATH": path, **env}
+
+
+def _python(*args, **env) -> subprocess.CompletedProcess:
+    """Run a Python process on this package, with ``env`` added to the environment."""
     proc = subprocess.run([sys.executable, *map(str, args)], capture_output=True, text=True,
-                          timeout=120, env={**os.environ, "PYTHONPATH": path, **env})
+                          timeout=120, env=_python_env(**env))
     assert proc.returncode == 0, proc.stderr
     return proc
 
@@ -383,11 +403,16 @@ def test_pool_is_rebuilt_after_fork(corpus32, tmp_path):
 
 
 def _alive(pid: int) -> bool:
+    """Whether ``pid`` runs; one that has exited but waits to be reaped does not."""
     try:
         os.kill(pid, 0)
     except ProcessLookupError:
         return False
-    return True
+    stat = Path(f"/proc/{pid}/stat")
+    try:
+        return stat.read_text().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:  # reaped since, unless this platform has no /proc
+        return not stat.parent.parent.is_dir()
 
 
 def test_script_with_workers_exits_cleanly(corpus32, tmp_path):
@@ -401,6 +426,32 @@ def test_script_with_workers_exits_cleanly(corpus32, tmp_path):
     assert count == "2" and len(pids.split()) == 2
     assert not any(_alive(int(pid)) for pid in pids.split())
     assert list(tmp.iterdir()) == [] and proc.stderr == ""
+
+
+def test_terminated_script_leaves_no_worker_or_file(corpus32, tmp_path):
+    # SIGTERM, as `kill` or a CI cancel sends it, ends the caller with no
+    # exit handler run: its workers see the caller gone, delete the weights
+    # file and exit
+    tmp = tmp_path / "tmp"
+    tmp.mkdir()
+    script, out, err = (tmp_path / name for name in ("script.py", "out.txt", "err.txt"))
+    script.write_text(_SCRIPT)
+    # files, not pipes that live workers would hold open
+    with open(out, "w") as stdout, open(err, "w") as stderr:
+        proc = subprocess.run([sys.executable, script, corpus32[0], "--terminate"],
+                              stdout=stdout, stderr=stderr, timeout=120,
+                              env=_python_env(TMPDIR=str(tmp)))
+    pids = [int(pid) for pid in out.read_text().split()[:-1]]
+    try:
+        assert proc.returncode == -signal.SIGTERM and len(pids) == 2, err.read_text()
+        deadline = time.monotonic() + 10
+        while (any(map(_alive, pids)) or any(tmp.iterdir())) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not any(map(_alive, pids))
+        assert list(tmp.iterdir()) == []
+    finally:  # a worker left running is stopped here, not left to the machine
+        for pid in filter(_alive, pids):
+            os.kill(pid, signal.SIGKILL)
 
 
 def test_import_starts_no_multiprocessing():
