@@ -13,29 +13,35 @@ from __future__ import annotations
 
 import numpy as np
 
+# The geometry of every conv of the network: 4x4 taps, stride 2, padding 1.
+# KERNEL - 2*PADDING == STRIDE, so a conv halves H and W exactly and a
+# transposed conv doubles them (Dumoulin & Visin 2016)
+KERNEL = 4
+STRIDE = 2
+PADDING = 1
 
-def im2col(x: np.ndarray, k: int, stride: int, pad: int) -> np.ndarray:
-    """Unfold (N, C, H, W) into (C*k*k, N*out_h*out_w) patch columns."""
+
+def im2col(x: np.ndarray) -> np.ndarray:
+    """Unfold (N, C, H, W) into (C*k*k, N*(H/2)*(W/2)) patch columns."""
     n, c, h, w = x.shape
-    out_h = (h + 2 * pad - k) // stride + 1
-    out_w = (w + 2 * pad - k) // stride + 1
+    k, s, pad = KERNEL, STRIDE, PADDING
+    out_h, out_w = h // s, w // s
     xp = np.zeros((c, n, h + 2 * pad, w + 2 * pad), dtype=x.dtype)
     xp[:, :, pad:pad + h, pad:pad + w] = x.transpose(1, 0, 2, 3)
     # (C, k, k, N, out_h, out_w): window (i, j) of every output pixel, copied once
     sc, sn, sh, sw = xp.strides
     windows = np.lib.stride_tricks.as_strided(
-        xp, (c, k, k, n, out_h, out_w), (sc, sh, sw, sn, stride * sh, stride * sw),
+        xp, (c, k, k, n, out_h, out_w), (sc, sh, sw, sn, s * sh, s * sw),
         writeable=False)
     return np.ascontiguousarray(windows).reshape(c * k * k, n * out_h * out_w)
 
 
-def _transposed_conv(x: np.ndarray, w: np.ndarray, stride: int,
-                     pad: int) -> np.ndarray:
+def _transposed_conv(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Bias-free transposed convolution of (N, IC, ih, iw) by (IC, OC, k, k).
 
     Sub-pixel form (Dumoulin & Visin 2016; Shi et al. 2016), for k a
     multiple of the stride s and r = k // s.  On the output grid padded by
-    ``pad``, pixel (s*u + a, s*v + b) receives exactly the r*r taps
+    PADDING, pixel (s*u + a, s*v + b) receives exactly the r*r taps
     (a + s*di, b + s*dj) from input pixel (u - di, v - dj).  So each parity
     class (a, b) is one gemm of its r*r*OC weight rows against input columns
     that carry r - 1 zero rows and columns per sample, and tap (di, dj) is
@@ -45,16 +51,15 @@ def _transposed_conv(x: np.ndarray, w: np.ndarray, stride: int,
     for bit what a per-pixel loop computes.
     """
     n, ic, ih, iw = x.shape
-    _, oc, k, _ = w.shape
-    s, r = stride, k // stride
-    oh, ow = (ih - 1) * s - 2 * pad + k, (iw - 1) * s - 2 * pad + k
+    oc = w.shape[1]
+    s, r, pad = STRIDE, KERNEL // STRIDE, PADDING
     ph, pw = ih + r - 1, iw + r - 1
     xp = np.zeros((ic, n, ph, pw), dtype=x.dtype)
     xp[:, :, :ih, :iw] = x.transpose(1, 0, 2, 3)
     xp = xp.reshape(ic, -1)
     # (IC, a, b, di, dj, OC) for tap (i, j) = (s*di + a, s*dj + b)
     taps = np.ascontiguousarray(w.reshape(ic, oc, r, s, r, s).transpose(0, 3, 5, 2, 4, 1))
-    out = np.empty((oc, n, oh, ow), dtype=np.result_type(x, w))
+    out = np.empty((oc, n, s * ih, s * iw), dtype=np.result_type(x, w))
     plane = np.empty(oc * xp.shape[1])
     for a in range(s):
         for b in range(s):
@@ -72,65 +77,53 @@ def _transposed_conv(x: np.ndarray, w: np.ndarray, stride: int,
     return out.transpose(1, 0, 2, 3)
 
 
-def conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray, stride: int,
-           pad: int) -> tuple[np.ndarray, np.ndarray]:
-    """Strided convolution; weight layout (out_c, in_c, k, k).
+def conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Convolution that halves H and W; weight layout (out_c, in_c, k, k).
 
     Returns (output, im2col columns): callers drop the columns, and
     perfbench's tracer reads ``result[0]``.  The bias is added in place.
     """
     n, _, h, width = x.shape
-    oc, _, k, _ = w.shape
-    cols = im2col(x, k, stride, pad)
-    out_h = (h + 2 * pad - k) // stride + 1
-    out_w = (width + 2 * pad - k) // stride + 1
+    oc = w.shape[0]
+    cols = im2col(x)
     y = w.reshape(oc, -1) @ cols
     y += b[:, None]
-    return y.reshape(oc, n, out_h, out_w).transpose(1, 0, 2, 3), cols
+    return y.reshape(oc, n, h // STRIDE, width // STRIDE).transpose(1, 0, 2, 3), cols
 
 
-def conv2d_backward(dy: np.ndarray, x: np.ndarray, w: np.ndarray, stride: int,
-                    pad: int):
+def conv2d_backward(dy: np.ndarray, x: np.ndarray, w: np.ndarray):
     """Gradients of conv2d w.r.t. weight and bias, from the conv's input ``x``."""
-    n, oc, k = dy.shape[0], w.shape[0], w.shape[2]
+    n, oc = dy.shape[0], w.shape[0]
     # numpy sums in an order set by the memory layout: a C-contiguous copy
     # keeps the bias gradient independent of the layout dy arrives in.  It
     # is freed before the columns are built
     db = np.ascontiguousarray(dy).reshape(n, oc, -1).sum(axis=(0, 2))
-    cols = im2col(x, k, stride, pad)
+    cols = im2col(x)
     dy_flat = dy.transpose(1, 0, 2, 3).reshape(oc, -1)
     dw = (dy_flat @ cols.T).reshape(w.shape)
     return dw, db
 
 
-def conv2d_input_grad(dy: np.ndarray, w: np.ndarray, stride: int,
-                      pad: int) -> np.ndarray:
+def conv2d_input_grad(dy: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Gradient of conv2d w.r.t. its input: the transposed conv of dy by w.
 
-    Its spatial size is (out - 1)*stride - 2*pad + k, the conv's input size
-    whenever the conv's windows tile its padded input exactly.
+    Its spatial size is twice dy's, the conv's input size when that is even.
     """
-    return _transposed_conv(dy, w, stride, pad)
+    return _transposed_conv(dy, w)
 
 
-def conv_transpose2d(x: np.ndarray, w: np.ndarray, b: np.ndarray,
-                     stride: int, pad: int) -> np.ndarray:
-    """Transposed convolution; weight layout (in_c, out_c, k, k).
-
-    Output spatial size is (in - 1)*stride - 2*pad + k per dimension.
-    """
-    y = _transposed_conv(x, w, stride, pad)
+def conv_transpose2d(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Transposed convolution that doubles H and W; weight layout (in_c, out_c, k, k)."""
+    y = _transposed_conv(x, w)
     y += b[None, :, None, None]
     return y
 
 
-def conv_transpose2d_backward(dy: np.ndarray, x: np.ndarray, w: np.ndarray,
-                              stride: int, pad: int):
+def conv_transpose2d_backward(dy: np.ndarray, x: np.ndarray, w: np.ndarray):
     """Gradients of conv_transpose2d w.r.t. input, weight, and bias."""
     n, ic, ih, iw = x.shape
-    k = w.shape[2]
     db = np.ascontiguousarray(dy).sum(axis=(0, 2, 3))  # see conv2d_backward
-    gcols = im2col(dy, k, stride, pad)  # (OC*k*k, N*ih*iw)
+    gcols = im2col(dy)  # (OC*k*k, N*ih*iw)
     dx = (w.reshape(ic, -1) @ gcols).reshape(ic, n, ih, iw).transpose(1, 0, 2, 3)
     dw = (x.transpose(1, 0, 2, 3).reshape(ic, -1) @ gcols.T).reshape(w.shape)
     return dx, dw, db

@@ -86,7 +86,6 @@ def _backward(params: dict[str, np.ndarray], cache: dict,
 
     Empties the tapes in ``cache``: each entry is dropped once it is used.
     """
-    s, p = vae.STRIDE, vae.PADDING
     enc_tape, dec_tape, acts = cache["enc_tape"], cache["dec_tape"], cache["acts"]
     n = acts.shape[0]
     grads: dict[str, np.ndarray] = {}
@@ -97,7 +96,7 @@ def _backward(params: dict[str, np.ndarray], cache: dict,
     for i in range(3, -1, -1):
         h = dec_tape.pop()
         g, grads[f"tdec{i}_w"], grads[f"tdec{i}_b"] = nnops.conv_transpose2d_backward(
-            g, h, params[f"tdec{i}_w"], s, p)
+            g, h, params[f"tdec{i}_w"])
         g = nnops.relu_backward(g, h)
     # the reshape copies g: free h and the 4-D g before the next gemm, since
     # the free order moves peak RSS
@@ -126,9 +125,9 @@ def _backward(params: dict[str, np.ndarray], cache: dict,
         g = nnops.relu_backward(g, out)
         out = enc_tape.pop()
         grads[f"enc{i}_w"], grads[f"enc{i}_b"] = nnops.conv2d_backward(
-            g, out, params[f"enc{i}_w"], s, p)
+            g, out, params[f"enc{i}_w"])
         if i > 0:  # the input of enc0 is the data, which needs no gradient
-            g = nnops.conv2d_input_grad(g, params[f"enc{i}_w"], s, p)
+            g = nnops.conv2d_input_grad(g, params[f"enc{i}_w"])
     return grads
 
 

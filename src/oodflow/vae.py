@@ -38,10 +38,7 @@ DEFAULT_MAX_FLOW = 8.0
 # 1.03 ms at 4 or 59 and 1.53 ms at 1
 SCORE_CHUNK = 8
 
-# The weights header records none of these, so they are not architecture fields.
-KERNEL = 4
-STRIDE = 2
-PADDING = 1
+# The weights header does not record it, so it is not an architecture field.
 INPUT_CHANNELS = 2  # flow (u, v)
 
 
@@ -60,7 +57,7 @@ def _check_max_flow(max_flow: float) -> None:
 
 @dataclass(frozen=True)
 class VaeArchitecture:
-    """Fixed 4-layer conv family: kernel 4, stride 2, padding 1 per layer.
+    """Fixed 4-layer conv family in the conv geometry of :mod:`nnops`.
 
     Each encoder layer halves the spatial size, so input_size must be
     divisible by 16; the last conv volume is conv_channels[-1] channels at
@@ -92,7 +89,7 @@ class VaeArchitecture:
     def tensor_shapes(self) -> dict[str, tuple[int, ...]]:
         """Shapes of all weight tensors, in canonical serialization order."""
         chans = (INPUT_CHANNELS,) + tuple(self.conv_channels)
-        k = KERNEL
+        k = nnops.KERNEL
         shapes: dict[str, tuple[int, ...]] = {}
         for i in range(4):
             shapes[f"enc{i}_w"] = (chans[i + 1], chans[i], k, k)
@@ -184,8 +181,7 @@ def encoder(tensors: dict[str, np.ndarray], x: np.ndarray,
         if tape is not None:
             tape.append(h)
         # conv2d's columns are dropped here, before the next im2col
-        h = nnops.relu(nnops.conv2d(h, tensors[f"enc{i}_w"], tensors[f"enc{i}_b"],
-                                    STRIDE, PADDING)[0])
+        h = nnops.relu(nnops.conv2d(h, tensors[f"enc{i}_w"], tensors[f"enc{i}_b"])[0])
     # C-contiguous, so that sums over the volume keep a fixed order
     h = np.ascontiguousarray(h)
     n = h.shape[0]
@@ -212,8 +208,7 @@ def decoder(tensors: dict[str, np.ndarray], arch: VaeArchitecture,
         z.shape[0], arch.conv_channels[-1], arch.grid_size, arch.grid_size)
     for i in range(4):
         tape.append(h)
-        h = nnops.conv_transpose2d(h, tensors[f"tdec{i}_w"], tensors[f"tdec{i}_b"],
-                                   STRIDE, PADDING)
+        h = nnops.conv_transpose2d(h, tensors[f"tdec{i}_w"], tensors[f"tdec{i}_b"])
         if i < 3:
             h = nnops.relu(h)
     return np.ascontiguousarray(h)

@@ -18,7 +18,7 @@ def test_conv2d_matches_naive(n, ic, oc, size):
     x = _rand((n, ic, size, size), 0)
     w = _rand((oc, ic, 4, 4), 1)
     b = _rand((oc,), 2)
-    y, _ = nnops.conv2d(x, w, b, stride=2, pad=1)
+    y, _ = nnops.conv2d(x, w, b)
     ref = naive_conv2d(x, w, b, stride=2, pad=1)
     np.testing.assert_allclose(y, ref, rtol=1e-12, atol=1e-12)
 
@@ -28,7 +28,7 @@ def test_conv_transpose2d_matches_naive(n, ic, oc, size):
     x = _rand((n, ic, size, size), 3)
     w = _rand((ic, oc, 4, 4), 4)
     b = _rand((oc,), 5)
-    y = nnops.conv_transpose2d(x, w, b, stride=2, pad=1)
+    y = nnops.conv_transpose2d(x, w, b)
     ref = naive_conv_transpose2d(x, w, b, stride=2, pad=1)
     assert y.shape == (n, oc, 2 * size, 2 * size)
     np.testing.assert_allclose(y, ref, rtol=1e-12, atol=1e-12)
@@ -65,10 +65,10 @@ def test_transposed_conv_matches_gemm_oracle(layer, dtype):
     x, w = _transposed_conv_case(layer, 3, 11, dtype)
     want = gemm_col2im_transpose(x, w, 2, 1)
     if layer.startswith("enc"):
-        got = nnops.conv2d_input_grad(x, w, 2, 1)
+        got = nnops.conv2d_input_grad(x, w)
     else:
         b = _rand((w.shape[1],), 13, dtype)
-        got = nnops.conv_transpose2d(x, w, b, 2, 1)
+        got = nnops.conv_transpose2d(x, w, b)
         want = want + b[None, :, None, None]
     assert got.dtype == dtype and got.shape == want.shape
     assert np.array_equal(got, want)
@@ -84,8 +84,8 @@ def test_transposed_conv_matches_gemm_oracle_any_shape(n, ic, oc, ih, iw, seed, 
     w = _rand((ic, oc, 4, 4), seed + 1, dtype)
     b = _rand((oc,), seed + 2, dtype)
     want = gemm_col2im_transpose(x, w, 2, 1)
-    assert np.array_equal(nnops.conv2d_input_grad(x, w, 2, 1), want)
-    assert np.array_equal(nnops.conv_transpose2d(x, w, b, 2, 1),
+    assert np.array_equal(nnops.conv2d_input_grad(x, w), want)
+    assert np.array_equal(nnops.conv_transpose2d(x, w, b),
                           want + b[None, :, None, None])
 
 
@@ -97,17 +97,17 @@ def test_conv_outputs_batch_invariant(layer, dtype):
     x = _rand((5, ic, size, size), 12, dtype)
     w = _rand((oc, ic, 4, 4), 13, dtype)
     b = _rand((oc,), 14, dtype)
-    y, _ = nnops.conv2d(x, w, b, 2, 1)
+    y, _ = nnops.conv2d(x, w, b)
     for i in range(5):
-        assert np.array_equal(y[i:i + 1], nnops.conv2d(x[i:i + 1], w, b, 2, 1)[0])
+        assert np.array_equal(y[i:i + 1], nnops.conv2d(x[i:i + 1], w, b)[0])
     ic, oc, size = DECODER_LAYERS[layer]
     x = _rand((5, ic, size, size), 15, dtype)
     w = _rand((ic, oc, 4, 4), 16, dtype)
     b = _rand((oc,), 17, dtype)
-    y = nnops.conv_transpose2d(x, w, b, 2, 1)
+    y = nnops.conv_transpose2d(x, w, b)
     assert y.dtype == dtype
     for i in range(5):
-        assert np.array_equal(y[i:i + 1], nnops.conv_transpose2d(x[i:i + 1], w, b, 2, 1))
+        assert np.array_equal(y[i:i + 1], nnops.conv_transpose2d(x[i:i + 1], w, b))
 
 
 def test_conv2d_backward_adjoint_and_fd():
@@ -115,13 +115,13 @@ def test_conv2d_backward_adjoint_and_fd():
     x = rng.normal(size=(2, 2, 8, 8))
     w = rng.normal(size=(3, 2, 4, 4))
     b = rng.normal(size=3)
-    y, cols = nnops.conv2d(x, w, b, 2, 1)
+    y, cols = nnops.conv2d(x, w, b)
     r = rng.normal(size=y.shape)  # loss = <y, r>
-    dw, db = nnops.conv2d_backward(r, x, w, 2, 1)
+    dw, db = nnops.conv2d_backward(r, x, w)
     # the weight gradient is the gemm of dy with the columns conv2d built
     r_flat = r.transpose(1, 0, 2, 3).reshape(3, -1)
     assert np.array_equal(dw, (r_flat @ cols.T).reshape(w.shape))
-    dx = nnops.conv2d_input_grad(r, w, 2, 1)
+    dx = nnops.conv2d_input_grad(r, w)
     assert dx.shape == x.shape
     # adjoint identity for the input gradient
     assert abs(np.sum(y * r) - np.sum(x * dx) - np.sum(b * db)) < 1e-9
@@ -132,9 +132,9 @@ def test_conv2d_backward_adjoint_and_fd():
             h = 1e-6
             old = flat[idx]
             flat[idx] = old + h
-            yp, _ = nnops.conv2d(x, w, b, 2, 1)
+            yp, _ = nnops.conv2d(x, w, b)
             flat[idx] = old - h
-            ym, _ = nnops.conv2d(x, w, b, 2, 1)
+            ym, _ = nnops.conv2d(x, w, b)
             flat[idx] = old
             fd = np.sum((yp - ym) * r) / (2 * h)
             assert abs(fd - grad.reshape(-1)[idx]) < 1e-6
@@ -145,18 +145,18 @@ def test_conv_transpose2d_backward_fd():
     x = rng.normal(size=(2, 3, 4, 4))
     w = rng.normal(size=(3, 2, 4, 4))
     b = rng.normal(size=2)
-    y = nnops.conv_transpose2d(x, w, b, 2, 1)
+    y = nnops.conv_transpose2d(x, w, b)
     r = rng.normal(size=y.shape)
-    dx, dw, db = nnops.conv_transpose2d_backward(r, x, w, 2, 1)
+    dx, dw, db = nnops.conv_transpose2d_backward(r, x, w)
     assert abs(np.sum(y * r) - np.sum(x * dx) - np.sum(b * db)) < 1e-9
     flat_w = w.reshape(-1)
     for idx in [0, flat_w.size // 3, flat_w.size - 1]:
         h = 1e-6
         old = flat_w[idx]
         flat_w[idx] = old + h
-        yp = nnops.conv_transpose2d(x, w, b, 2, 1)
+        yp = nnops.conv_transpose2d(x, w, b)
         flat_w[idx] = old - h
-        ym = nnops.conv_transpose2d(x, w, b, 2, 1)
+        ym = nnops.conv_transpose2d(x, w, b)
         flat_w[idx] = old
         fd = np.sum((yp - ym) * r) / (2 * h)
         assert abs(fd - dw.reshape(-1)[idx]) < 1e-6

@@ -248,20 +248,17 @@ def test_memo_never_reuses_another_sigma(second):
     assert got.tobytes() == _cold(b, c).tobytes()
 
 
-def test_memo_threads_streaming_episodes_match_serial():
-    # more threads than cores, switching often; two episodes, each streamed
-    # by two threads, so a torn memo entry would pair one frame's bits with
-    # another frame's blur
-    episodes = [_episode_frames(seed=24), _episode_frames(seed=25)] * 2
-    serial = [[f.tobytes() for f in _stream(frames)] for frames in episodes]
+def _stream_on_threads(episodes, want, passes):
+    """Stream each episode ``passes`` times on a thread of its own, switching
+    every microsecond, and assert every flow's bytes equal ``want``'s."""
     runs, mismatches = [0] * len(episodes), [0] * len(episodes)
     start = threading.Barrier(len(episodes))
 
     def worker(i):
         start.wait()
-        for _ in range(200):
+        for _ in range(passes):
             flows = _stream(episodes[i])
-            mismatches[i] += sum(f.tobytes() != w for f, w in zip(flows, serial[i]))
+            mismatches[i] += sum(f.tobytes() != w for f, w in zip(flows, want[i]))
             runs[i] += 1
 
     threads = [threading.Thread(target=worker, args=(i,)) for i in range(len(episodes))]
@@ -275,8 +272,28 @@ def test_memo_threads_streaming_episodes_match_serial():
     finally:
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
-    assert runs == [200] * len(episodes)
+    assert runs == [passes] * len(episodes)
     assert mismatches == [0] * len(episodes)
+
+
+def test_memo_threads_streaming_episodes_match_serial():
+    # more threads than cores, switching often; two episodes, each streamed
+    # by two threads, so a torn memo entry would pair one frame's bits with
+    # another frame's blur
+    episodes = [_episode_frames(seed=24), _episode_frames(seed=25)] * 2
+    serial = [[f.tobytes() for f in _stream(frames)] for frames in episodes]
+    _stream_on_threads(episodes, serial, 200)
+
+
+def test_memo_threads_streaming_96px_episodes_match_cold_flows():
+    # three different episodes at 96 px, where scipy's Gaussian filter runs
+    # long enough without the interpreter lock for threads to overlap in it;
+    # every flow against a call that found the memo empty.  A memo written
+    # field by field failed this at 60 passes in 3 runs of 3, and at 5 in 0 of 5
+    episodes = [_episode_frames(seed, size=96) for seed in (27, 28, 29)]
+    cold = [[_cold(a, b).tobytes() for a, b in zip(frames, frames[1:])]
+            for frames in episodes]
+    _stream_on_threads(episodes, cold, 60)
 
 
 def test_memo_flow_is_fresh_and_writable():

@@ -323,9 +323,10 @@ def test_backward_matches_gemm_col2im_oracle(monkeypatch):
         return trainer._backward(params, cache, 1.0)
 
     got = step()
-    monkeypatch.setattr(nnops, "conv2d_input_grad", gemm_col2im_transpose)
-    monkeypatch.setattr(nnops, "conv_transpose2d", lambda h, w, b, s, p: (
-        gemm_col2im_transpose(h, w, s, p) + b[None, :, None, None]))
+    monkeypatch.setattr(nnops, "conv2d_input_grad",
+                        lambda g, w: gemm_col2im_transpose(g, w, 2, 1))
+    monkeypatch.setattr(nnops, "conv_transpose2d", lambda h, w, b: (
+        gemm_col2im_transpose(h, w, 2, 1) + b[None, :, None, None]))
     want = step()
     assert sorted(got) == sorted(arch.tensor_shapes())
     for name in want:
@@ -360,16 +361,15 @@ def test_tape_holds_layer_inputs_and_backward_empties_it(tiny_arch, monkeypatch)
         assert dec_tape[i + 1] is inputs[id(params[f"tdec{i}_w"])]
     assert dec_tape[0] is inputs[id(params["dec_w"])]
 
-    s, p = vae.STRIDE, vae.PADDING
     outs = enc_tape[1:] + [cache["acts"]]
     for i in range(4):
-        pre = nnops.conv2d(enc_tape[i], params[f"enc{i}_w"], params[f"enc{i}_b"], s, p)[0]
+        pre = nnops.conv2d(enc_tape[i], params[f"enc{i}_w"], params[f"enc{i}_b"])[0]
         assert np.array_equal(outs[i] > 0, pre > 0)
     pre = nnops.linear(dec_tape[0], params["dec_w"], params["dec_b"])
     assert np.array_equal(dec_tape[1] > 0, (pre > 0).reshape(dec_tape[1].shape))
     for i in range(3):
         pre = nnops.conv_transpose2d(dec_tape[i + 1], params[f"tdec{i}_w"],
-                                     params[f"tdec{i}_b"], s, p)
+                                     params[f"tdec{i}_b"])
         assert np.array_equal(dec_tape[i + 2] > 0, pre > 0)
     # every mask has both signs, so the comparisons above can fail
     for out in outs + dec_tape[1:]:
